@@ -58,6 +58,14 @@ LineFit FitLine(const std::vector<double>& xs, const std::vector<double>& ys) {
 
 double SafeRatio(double num, double den) { return den == 0.0 ? 0.0 : num / den; }
 
+double Median(std::vector<double> samples) {
+  std::sort(samples.begin(), samples.end());
+  const std::size_t n = samples.size();
+  if (n == 0) return 0.0;
+  return n % 2 == 1 ? samples[n / 2]
+                    : 0.5 * (samples[n / 2 - 1] + samples[n / 2]);
+}
+
 double Percentile(std::vector<double> samples, double p) {
   Check(p >= 0.0 && p <= 100.0, "Percentile: p outside [0, 100]");
   if (samples.empty()) return 0.0;

@@ -42,6 +42,10 @@ LineFit FitLine(const std::vector<double>& xs, const std::vector<double>& ys);
 /// Ratio of two doubles that tolerates a zero denominator.
 double SafeRatio(double num, double den);
 
+/// The median of `samples`: the middle value, or the mean of the two
+/// middle values for an even count; 0.0 for an empty sample set.
+double Median(std::vector<double> samples);
+
 /// The p-th percentile (p in [0, 100]) of `samples` by linear
 /// interpolation between closest ranks; 0.0 for an empty sample set.
 /// Used by the serve daemon's per-figure latency stats.

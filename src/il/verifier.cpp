@@ -118,7 +118,10 @@ VerifyResult Verify(const Kernel& kernel) {
 
 void VerifyOrThrow(const Kernel& kernel) {
   const VerifyResult r = Verify(kernel);
-  Require(r.ok(), "IL kernel '" + kernel.name + "' invalid: " + r.Message());
+  if (!r.ok()) {
+    throw ConfigError("IL kernel '" + kernel.name + "' invalid: " +
+                      r.Message());
+  }
 }
 
 }  // namespace amdmb::il

@@ -1,6 +1,5 @@
 #include "kerncap/characterize.hpp"
 
-#include <optional>
 #include <utility>
 
 #include "common/status.hpp"
@@ -39,9 +38,10 @@ std::string Slug(const Prepared& prepared) {
 
 suite::Measurement MeasureAt(const Prepared& prepared, const GpuArch& arch,
                              const sim::LaunchConfig& config,
-                             const std::string& point_label) {
+                             const std::string& point_label,
+                             unsigned attempt) {
   const suite::Runner runner(arch);
-  return runner.Measure(prepared.kernel, config, {point_label, 1});
+  return runner.Measure(prepared.kernel, config, {point_label, attempt});
 }
 
 namespace {
@@ -61,85 +61,71 @@ void OperatingPointFindings(report::Figure& figure, const std::string& name,
        std::string(sim::ToString(op.profile->attribution.bottleneck))});
 }
 
+/// One rung of the domain ladder.
+struct RungPoint {
+  std::size_t rung = 0;
+  suite::Measurement m;
+};
+
 void RunCurve(report::Figure& figure, const Prepared& prepared,
               const suite::CurveKey& key,
               const std::vector<unsigned>& domains,
               const CharacterizeOptions& options) {
   const std::string name = key.Name();
-  const auto launch_at = [&](std::size_t i) {
-    sim::LaunchConfig launch;
-    launch.domain = Domain{domains[i], domains[i]};
-    launch.mode = key.mode;
-    launch.block = BlockShape{64, 1};
-    launch.repetitions = suite::kPaperRepetitions;
-    launch.watchdog_cycles = options.watchdog_cycles;
-    launch.profile = true;
-    return launch;
-  };
   const auto wavefronts_at = [&](std::size_t i) {
     return static_cast<double>(domains[i]) * domains[i] /
            key.arch.wavefront_size;
   };
+  const auto label_of = [&](std::size_t i) {
+    return "domain_" + std::to_string(domains[i]);
+  };
+  // Retry is pinned (not RetryPolicy::FromEnv) so documents and the
+  // refinement trajectory match across daemon flavors regardless of the
+  // host's AMDMB_RETRY. Dense runs never retry, so a failing point's
+  // own error reaches the caller.
+  exec::RetryPolicy retry;
+  if (options.adaptive == nullptr) {
+    retry.max_attempts = 1;
+    retry.on_exhausted = exec::FailurePolicy::kFailFast;
+  }
+  // Every launch is profiled below, so `profile` stays false; nothing
+  // cancels an analysis.
+  const suite::ExecOptions pinned{
+      {false, options.executor, retry, nullptr}, options.adaptive};
+  const auto sweep = suite::Sweep(
+      domains.size(), wavefronts_at, label_of,
+      [&](std::size_t i, unsigned attempt) {
+        sim::LaunchConfig launch;
+        launch.domain = Domain{domains[i], domains[i]};
+        launch.mode = key.mode;
+        launch.block = BlockShape{64, 1};
+        launch.repetitions = suite::kPaperRepetitions;
+        launch.watchdog_cycles = options.watchdog_cycles;
+        launch.profile = true;
+        return RungPoint{
+            i, MeasureAt(prepared, key.arch, launch, label_of(i), attempt)};
+      },
+      pinned);
 
-  if (options.adaptive != nullptr) {
-    const suite::Runner runner(key.arch);
-    std::vector<std::optional<suite::Measurement>> slots(domains.size());
-    // Retry behaviour is pinned (not RetryPolicy::FromEnv) so the
-    // refinement trajectory matches across daemon flavors regardless of
-    // the host's AMDMB_RETRY.
-    const adapt::Refiner refiner(*options.adaptive, options.executor,
-                                 exec::RetryPolicy{});
-    exec::RunReport report;
-    const adapt::Outcome outcome = refiner.Run(
-        domains.size(), wavefronts_at,
-        [&](std::size_t i, unsigned attempt) {
-          suite::Measurement m = runner.Measure(
-              prepared.kernel, launch_at(i),
-              {"domain_" + std::to_string(domains[i]), attempt});
-          std::string label(sim::ToString(m.stats.bottleneck));
-          slots[i] = std::move(m);
-          return label;
-        },
-        &report);
-    for (exec::PointOutcome& point : report.points) {
-      point.label = "domain_" + std::to_string(domains[point.index]);
-    }
-    Series& series = figure.set.Get(name);
-    for (const std::size_t i : outcome.measured) {
-      if (!slots[i].has_value()) continue;
-      series.Add(wavefronts_at(i), slots[i]->seconds);
-      figure.profiles.push_back(report::MakeProfileEntry(
-          name, *slots[i]->profile,
-          sim::ToString(slots[i]->stats.bottleneck)));
-    }
-    for (report::Degradation& d : report::DegradationsFrom(report, name)) {
-      figure.degradations.push_back(std::move(d));
-    }
-    Require(slots.back().has_value(),
-            "kerncap adaptive: operating point failed");
-    OperatingPointFindings(figure, name, *slots.back());
+  Series& series = figure.set.Get(name);
+  for (const RungPoint& p : sweep.points) {
+    series.Add(wavefronts_at(p.rung), p.m.seconds);
+    figure.profiles.push_back(report::MakeProfileEntry(
+        name, *p.m.profile, sim::ToString(p.m.stats.bottleneck)));
+  }
+  for (report::Degradation& d : report::DegradationsFrom(sweep.report, name)) {
+    figure.degradations.push_back(std::move(d));
+  }
+  Require(!sweep.points.empty() &&
+              sweep.points.back().rung + 1 == domains.size(),
+          "kerncap: operating point failed");
+  OperatingPointFindings(figure, name, sweep.points.back().m);
+  if (sweep.adaptive.has_value()) {
     for (report::Finding& f :
-         adapt::AdaptiveFindings(outcome, name, "wavefronts")) {
+         adapt::AdaptiveFindings(*sweep.adaptive, name, "wavefronts")) {
       figure.findings.push_back(std::move(f));
     }
-    return;
   }
-
-  const std::vector<suite::Measurement> points =
-      exec::ExecutorOrDefault(options.executor)
-          .Map(domains.size(), [&](std::size_t i) {
-            return MeasureAt(prepared, key.arch, launch_at(i),
-                             "domain_" + std::to_string(domains[i]));
-          });
-  Series& series = figure.set.Get(name);
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    series.Add(wavefronts_at(i), points[i].seconds);
-  }
-  for (const suite::Measurement& m : points) {
-    figure.profiles.push_back(report::MakeProfileEntry(
-        name, *m.profile, sim::ToString(m.stats.bottleneck)));
-  }
-  OperatingPointFindings(figure, name, points.back());
 }
 
 }  // namespace

@@ -21,12 +21,11 @@
 #include <string>
 #include <vector>
 
-#include "adapt/refiner.hpp"
-#include "exec/sweep_executor.hpp"
 #include "kerncap/intake.hpp"
 #include "report/record.hpp"
 #include "suite/figures.hpp"
 #include "suite/microbench.hpp"
+#include "suite/sweep.hpp"
 
 namespace amdmb::kerncap {
 
@@ -69,9 +68,11 @@ std::string Slug(const Prepared& prepared);
 /// One profiled measurement of the prepared kernel at an explicit
 /// launch point. Shared by the sweep and the registry cross-validation
 /// test, so both sides of the comparison run the identical path.
+/// `attempt` is the retry layer's 1-based attempt number.
 suite::Measurement MeasureAt(const Prepared& prepared, const GpuArch& arch,
                              const sim::LaunchConfig& config,
-                             const std::string& point_label);
+                             const std::string& point_label,
+                             unsigned attempt = 1);
 
 /// Runs the full characterization and returns the finalized figure.
 /// `on_curve` streams per-curve completion exactly like

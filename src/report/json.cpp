@@ -135,8 +135,16 @@ class JsonParser {
   JsonValue ParseValue() {
     const char c = Peek();
     switch (c) {
-      case '{': return ParseObject();
-      case '[': return ParseArray();
+      case '{':
+      case '[': {
+        if (++depth_ > kMaxJsonDepth) {
+          Fail("nesting deeper than " + std::to_string(kMaxJsonDepth) +
+               " levels");
+        }
+        JsonValue value = c == '{' ? ParseObject() : ParseArray();
+        --depth_;
+        return value;
+      }
       case '"': return ParseString();
       case 't':
       case 'f': return ParseBool();
@@ -277,6 +285,7 @@ class JsonParser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  ///< Open arrays/objects around pos_.
 };
 
 JsonValue JsonValue::Parse(std::string_view text) {

@@ -4,6 +4,7 @@
 // No external dependency — the documents we read are the ones we write.
 #pragma once
 
+#include <cstddef>
 #include <map>
 #include <memory>
 #include <string>
@@ -21,6 +22,12 @@ std::string JsonEscape(std::string_view text);
 /// Shortest round-trippable representation, locale-independent.
 std::string JsonNumber(double v);
 
+/// Deepest array/object nesting JsonValue::Parse accepts. The parser
+/// recurses once per level, so untrusted input (a request line of
+/// nothing but '[') must not choose the stack depth; our own documents
+/// nest a handful of levels.
+inline constexpr std::size_t kMaxJsonDepth = 256;
+
 /// A parsed JSON document. Arrays/objects own their children; object
 /// member order is preserved (the compat tests inspect key sets).
 class JsonValue {
@@ -29,7 +36,7 @@ class JsonValue {
 
   /// Parses one JSON document (the whole input must be consumed apart
   /// from trailing whitespace). Throws ConfigError with the byte offset
-  /// on malformed input.
+  /// on malformed input, including nesting deeper than kMaxJsonDepth.
   static JsonValue Parse(std::string_view text);
 
   Type type() const { return type_; }

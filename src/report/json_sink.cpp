@@ -5,6 +5,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "common/stats.hpp"
 #include "common/status.hpp"
 #include "prof/profile_json.hpp"
 #include "report/json.hpp"
@@ -12,14 +13,6 @@
 namespace amdmb::report {
 
 namespace {
-
-double MedianOf(std::vector<double> values) {
-  std::sort(values.begin(), values.end());
-  const std::size_t n = values.size();
-  if (n == 0) return 0.0;
-  return n % 2 == 1 ? values[n / 2]
-                    : 0.5 * (values[n / 2 - 1] + values[n / 2]);
-}
 
 void EmitStringArray(std::ostringstream& os,
                      const std::vector<std::string>& items) {
@@ -207,7 +200,7 @@ std::string BenchJson(const Figure& figure) {
          << ", \"sim_seconds\": " << JsonNumber(points[p].y) << "}";
     }
     os << "],\n";
-    os << "      \"sim_seconds_median\": " << JsonNumber(MedianOf(ys))
+    os << "      \"sim_seconds_median\": " << JsonNumber(Median(ys))
        << ",\n";
     os << "      \"sim_seconds_min\": "
        << JsonNumber(ys.empty()

@@ -11,14 +11,12 @@ AluFetchResult RunAluFetch(const Runner& runner, ShaderMode mode,
   Require(config.ratio_step > 0.0 && config.ratio_min > 0.0 &&
               config.ratio_max >= config.ratio_min,
           "AluFetch: invalid ratio sweep");
-  AluFetchResult result;
-
   sim::LaunchConfig launch;
   launch.domain = config.domain;
   launch.mode = mode;
   launch.block = config.block;
   launch.repetitions = config.repetitions;
-  launch.profile = config.profile;
+  launch.profile = config.exec.profile;
 
   // Compute mode cannot write color buffers (Sec. IV-C).
   const WritePath write = mode == ShaderMode::kCompute ? WritePath::kGlobal
@@ -29,90 +27,39 @@ AluFetchResult RunAluFetch(const Runner& runner, ShaderMode mode,
        ratio += config.ratio_step) {
     ratios.push_back(ratio);
   }
-
-  const auto measure_point = [&](std::size_t i, unsigned attempt) {
-    const double ratio = ratios[i];
-    GenericSpec spec;
-    spec.inputs = config.inputs;
-    spec.outputs = config.outputs;
-    spec.alu_ops = AluOpsForRatio(ratio, config.inputs);
-    spec.type = type;
-    spec.read_path = config.read_path;
-    spec.write_path = write;
-    spec.name = "alufetch_r" + FormatDouble(ratio, 2);
-    AluFetchPoint point;
-    point.ratio = ratio;
-    point.m = runner.Measure(GenerateGeneric(spec), launch,
-                             {spec.name, attempt});
-    return point;
+  const auto label_of = [&](std::size_t i) {
+    return "alufetch_r" + FormatDouble(ratios[i], 2);
   };
-  const std::string alu_label(sim::ToString(sim::Bottleneck::kAlu));
 
-  if (config.adaptive != nullptr) {
-    // Adaptive path: coarse pass + bisection around bottleneck flips.
-    // Waves touch distinct indices, so the slot writes never race.
-    std::vector<std::optional<AluFetchPoint>> slots(ratios.size());
-    const adapt::Refiner refiner(*config.adaptive, config.executor,
-                                 config.retry, config.cancel);
-    adapt::Outcome outcome = refiner.Run(
-        ratios.size(), [&](std::size_t i) { return ratios[i]; },
-        [&](std::size_t i, unsigned attempt) {
-          AluFetchPoint point = measure_point(i, attempt);
-          std::string label(sim::ToString(point.m.stats.bottleneck));
-          slots[i] = std::move(point);
-          return label;
-        },
-        &result.report);
-    for (exec::PointOutcome& point : result.report.points) {
-      point.label = "alufetch_r" + FormatDouble(ratios[point.index], 2);
-    }
-    for (std::optional<AluFetchPoint>& slot : slots) {
-      if (slot) result.points.push_back(std::move(*slot));
-    }
-    if (const auto t = adapt::FirstTransitionTo(outcome.samples, alu_label)) {
-      result.crossover = t->upper_x;
-    }
-    result.adaptive = std::move(outcome);
-    return result;
-  }
+  auto sweep = Sweep(
+      ratios.size(), [&](std::size_t i) { return ratios[i]; }, label_of,
+      [&](std::size_t i, unsigned attempt) {
+        GenericSpec spec;
+        spec.inputs = config.inputs;
+        spec.outputs = config.outputs;
+        spec.alu_ops = AluOpsForRatio(ratios[i], config.inputs);
+        spec.type = type;
+        spec.read_path = config.read_path;
+        spec.write_path = write;
+        spec.name = label_of(i);
+        return AluFetchPoint{ratios[i],
+                             runner.Measure(GenerateGeneric(spec), launch,
+                                            {spec.name, attempt})};
+      },
+      config.exec);
 
-  auto slots = exec::ExecutorOrDefault(config.executor)
-                   .MapWithPolicy(
-                       ratios.size(),
-                       [&](std::size_t i, unsigned attempt) {
-                         return measure_point(i, attempt);
-                       },
-                       config.retry, &result.report, config.cancel);
-  for (std::size_t i = 0; i < slots.size(); ++i) {
-    result.report.points[i].label = "alufetch_r" + FormatDouble(ratios[i], 2);
-    if (slots[i]) result.points.push_back(std::move(*slots[i]));
-  }
   std::vector<adapt::Sample> samples;
-  samples.reserve(result.points.size());
-  for (const AluFetchPoint& point : result.points) {
+  samples.reserve(sweep.points.size());
+  for (const AluFetchPoint& point : sweep.points) {
     samples.push_back(
         {point.ratio, std::string(sim::ToString(point.m.stats.bottleneck))});
   }
-  if (const auto t = adapt::FirstTransitionTo(samples, alu_label)) {
-    result.crossover = t->upper_x;
+  std::optional<double> crossover;
+  if (const auto t = adapt::FirstTransitionTo(
+          samples, std::string(sim::ToString(sim::Bottleneck::kAlu)))) {
+    crossover = t->upper_x;
   }
-  return result;
-}
-
-SeriesSet AluFetchFigure(const std::vector<CurveKey>& curves,
-                         const AluFetchConfig& config,
-                         const std::string& title) {
-  SeriesSet figure(title, "ALU:Fetch Ratio", "Time in seconds");
-  for (const CurveKey& key : curves) {
-    Runner runner(key.arch);
-    const AluFetchResult result =
-        RunAluFetch(runner, key.mode, key.type, config);
-    Series& series = figure.Get(key.Name());
-    for (const AluFetchPoint& p : result.points) {
-      series.Add(p.ratio, p.m.seconds);
-    }
-  }
-  return figure;
+  return {std::move(sweep), crossover};
 }
 
 std::vector<report::Finding> Findings(const AluFetchResult& result,

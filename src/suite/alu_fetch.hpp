@@ -11,10 +11,9 @@
 #include <optional>
 #include <vector>
 
-#include "adapt/refiner.hpp"
 #include "report/record.hpp"
-#include "report/series.hpp"
 #include "suite/microbench.hpp"
+#include "suite/sweep.hpp"
 
 namespace amdmb::suite {
 
@@ -29,23 +28,7 @@ struct AluFetchConfig {
   ReadPath read_path = ReadPath::kTexture;
   WritePath write_path = WritePath::kStream;
   unsigned repetitions = kPaperRepetitions;
-  /// Force hardware-counter profiling for every point of this sweep
-  /// (tests use this to bypass the cached AMDMB_PROF snapshot).
-  bool profile = false;
-  /// Sweep points run through this executor (null = the process default,
-  /// AMDMB_THREADS workers). Results are bit-identical at any width.
-  const exec::SweepExecutor* executor = nullptr;
-  /// Per-point retry/skip behaviour under faults (AMDMB_RETRY default).
-  exec::RetryPolicy retry = exec::RetryPolicy::FromEnv();
-  /// Optional cooperative cancellation: points not yet started when the
-  /// token fires are skipped (the bench binaries wire their SIGINT/
-  /// SIGTERM flag here so an interrupted run still flushes a partial
-  /// figure).
-  const exec::CancelToken* cancel = nullptr;
-  /// Non-null switches the sweep to adaptive refinement (adapt::Refiner):
-  /// only the coarse pass plus bisection points around bottleneck flips
-  /// are measured. Dense output is unchanged when null.
-  const adapt::Settings* adaptive = nullptr;
+  ExecOptions exec;
 };
 
 struct AluFetchPoint {
@@ -53,16 +36,10 @@ struct AluFetchPoint {
   Measurement m;
 };
 
-struct AluFetchResult {
-  std::vector<AluFetchPoint> points;  ///< Successful points only.
+struct AluFetchResult : SweepResult<AluFetchPoint> {
   /// First swept ratio at which the simulator classifies the kernel as
   /// ALU-bound, if it happens within the sweep.
   std::optional<double> crossover;
-  /// Per-point outcome (ok / retried / skipped) of the whole sweep.
-  exec::RunReport report;
-  /// Refinement record (points spent, typed transitions); present only
-  /// when the sweep ran adaptively.
-  std::optional<adapt::Outcome> adaptive;
 };
 
 AluFetchResult RunAluFetch(const Runner& runner, ShaderMode mode,
@@ -74,10 +51,5 @@ AluFetchResult RunAluFetch(const Runner& runner, ShaderMode mode,
 /// Empty when the sweep produced no points.
 std::vector<report::Finding> Findings(const AluFetchResult& result,
                                       const std::string& curve);
-
-/// Runs the sweep for every curve in `curves` and assembles the figure.
-SeriesSet AluFetchFigure(const std::vector<CurveKey>& curves,
-                         const AluFetchConfig& config,
-                         const std::string& title);
 
 }  // namespace amdmb::suite

@@ -1,7 +1,5 @@
 #include "suite/block_size.hpp"
 
-#include <cmath>
-
 #include "common/status.hpp"
 #include "suite/kernelgen.hpp"
 
@@ -42,62 +40,38 @@ BlockSizeResult RunBlockSizeExplorer(const Runner& runner,
   }
   Check(!shapes.empty(), "block explorer: no dividing shapes");
 
-  BlockSizeResult result;
-  auto label_of = [](const BlockShape& block) {
-    return "block_" + std::to_string(block.x) + "x" + std::to_string(block.y);
+  const auto label_of = [&](std::size_t i) {
+    return "block_" + std::to_string(shapes[i].x) + "x" +
+           std::to_string(shapes[i].y);
   };
-  auto slots = exec::ExecutorOrDefault(config.executor)
-                   .MapWithPolicy(
-                       shapes.size(),
-                       [&](std::size_t i, unsigned attempt) {
-                         sim::LaunchConfig launch;
-                         launch.domain = config.domain;
-                         launch.mode = ShaderMode::kCompute;
-                         launch.block = shapes[i];
-                         launch.repetitions = config.repetitions;
-                         launch.profile = config.profile;
-                         BlockSizePoint point;
-                         point.block = shapes[i];
-                         point.m = runner.Measure(
-                             kernel, launch, {label_of(shapes[i]), attempt});
-                         return point;
-                       },
-                       config.retry, &result.report, config.cancel);
-  for (std::size_t i = 0; i < slots.size(); ++i) {
-    result.report.points[i].label = label_of(shapes[i]);
-    if (slots[i]) result.points.push_back(std::move(*slots[i]));
-  }
+  auto sweep = Sweep(
+      shapes.size(), [](std::size_t i) { return static_cast<double>(i); },
+      label_of,
+      [&](std::size_t i, unsigned attempt) {
+        sim::LaunchConfig launch;
+        launch.domain = config.domain;
+        launch.mode = ShaderMode::kCompute;
+        launch.block = shapes[i];
+        launch.repetitions = config.repetitions;
+        launch.profile = config.exec.profile;
+        return BlockSizePoint{
+            shapes[i], runner.Measure(kernel, launch, {label_of(i), attempt})};
+      },
+      ExecOptions{config.exec, nullptr});
 
+  const BlockSizePoint* best = nullptr;
   double naive_seconds = 0.0;
-  bool first = true;
-  for (const BlockSizePoint& point : result.points) {
-    if (first || point.m.seconds < result.best_seconds) {
-      result.best = point.block;
-      result.best_seconds = point.m.seconds;
-      first = false;
-    }
+  for (const BlockSizePoint& point : sweep.points) {
+    if (best == nullptr || point.m.seconds < best->m.seconds) best = &point;
     if (point.block.y == 1) naive_seconds = point.m.seconds;
   }
-  result.naive_penalty = naive_seconds > 0.0 && result.best_seconds > 0.0
-                             ? naive_seconds / result.best_seconds
-                             : 1.0;
-  return result;
-}
-
-SeriesSet BlockSizeFigure(const BlockSizeConfig& config,
-                          const std::string& title) {
-  SeriesSet figure(title, "log2(block width)", "Time in seconds");
-  for (const GpuArch& arch : AllArchs()) {
-    if (!arch.supports_compute) continue;
-    Runner runner(arch);
-    const BlockSizeResult result = RunBlockSizeExplorer(runner, config);
-    const CurveKey key{arch, ShaderMode::kCompute, config.type};
-    Series& series = figure.Get(key.Name());
-    for (const BlockSizePoint& p : result.points) {
-      series.Add(std::log2(static_cast<double>(p.block.x)), p.m.seconds);
-    }
-  }
-  return figure;
+  if (best == nullptr) return {std::move(sweep), BlockShape{}, 0.0, 1.0};
+  const BlockShape best_block = best->block;
+  const double best_seconds = best->m.seconds;
+  const double naive_penalty = naive_seconds > 0.0 && best_seconds > 0.0
+                                   ? naive_seconds / best_seconds
+                                   : 1.0;
+  return {std::move(sweep), best_block, best_seconds, naive_penalty};
 }
 
 std::vector<report::Finding> Findings(const BlockSizeResult& result,

@@ -7,13 +7,11 @@
 // that a large thread count is needed to keep the GPU busy.
 #pragma once
 
-#include <optional>
 #include <vector>
 
-#include "adapt/refiner.hpp"
 #include "report/record.hpp"
-#include "report/series.hpp"
 #include "suite/microbench.hpp"
+#include "suite/sweep.hpp"
 
 namespace amdmb::suite {
 
@@ -26,20 +24,7 @@ struct DomainSizeConfig {
   double alu_fetch_ratio = 10.0;
   BlockShape block{64, 1};
   unsigned repetitions = kPaperRepetitions;
-  /// Force hardware-counter profiling for every point of this sweep
-  /// (tests use this to bypass the cached AMDMB_PROF snapshot).
-  bool profile = false;
-  /// Sweep points run through this executor (null = the process default).
-  const exec::SweepExecutor* executor = nullptr;
-  /// Per-point retry/skip behaviour under faults (AMDMB_RETRY default).
-  exec::RetryPolicy retry = exec::RetryPolicy::FromEnv();
-  /// Optional cooperative cancellation: points not yet started when the
-  /// token fires are skipped (the bench binaries wire their SIGINT/
-  /// SIGTERM flag here so an interrupted run still flushes a partial
-  /// figure).
-  const exec::CancelToken* cancel = nullptr;
-  /// Non-null switches the sweep to adaptive refinement (adapt::Refiner).
-  const adapt::Settings* adaptive = nullptr;
+  ExecOptions exec;
 };
 
 struct DomainSizePoint {
@@ -47,13 +32,7 @@ struct DomainSizePoint {
   Measurement m;
 };
 
-struct DomainSizeResult {
-  std::vector<DomainSizePoint> points;  ///< Successful points only.
-  /// Per-point outcome (ok / retried / skipped) of the whole sweep.
-  exec::RunReport report;
-  /// Refinement record; present only when the sweep ran adaptively.
-  std::optional<adapt::Outcome> adaptive;
-};
+using DomainSizeResult = SweepResult<DomainSizePoint>;
 
 DomainSizeResult RunDomainSize(const Runner& runner, ShaderMode mode,
                                DataType type, const DomainSizeConfig& config);
@@ -63,10 +42,5 @@ DomainSizeResult RunDomainSize(const Runner& runner, ShaderMode mode,
 /// when the sweep produced no points.
 std::vector<report::Finding> Findings(const DomainSizeResult& result,
                                       const std::string& curve);
-
-/// Fig. 15a/b layout: one curve per GPU for the given mode.
-SeriesSet DomainSizeFigure(ShaderMode mode, DataType type,
-                           const DomainSizeConfig& config,
-                           const std::string& title);
 
 }  // namespace amdmb::suite

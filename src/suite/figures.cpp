@@ -31,9 +31,7 @@ AluFetchConfig QuickAluFetch(const RunOptions& opts) {
     config.domain = Domain{256, 256};
     config.ratio_step = 1.0;
   }
-  config.executor = opts.executor;
-  config.cancel = opts.cancel;
-  config.adaptive = opts.adaptive;
+  config.exec = opts;
   return config;
 }
 
@@ -225,9 +223,7 @@ FigureDef MakeFig10() {
 ReadLatencyConfig QuickReadLatency(const RunOptions& opts) {
   ReadLatencyConfig config;
   if (opts.quick) config.domain = Domain{256, 256};
-  config.executor = opts.executor;
-  config.cancel = opts.cancel;
-  config.adaptive = opts.adaptive;
+  config.exec = opts;
   return config;
 }
 
@@ -300,9 +296,7 @@ FigureDef MakeFig12() {
 WriteLatencyConfig QuickWriteLatency(const RunOptions& opts) {
   WriteLatencyConfig config;
   if (opts.quick) config.domain = Domain{256, 256};
-  config.executor = opts.executor;
-  config.cancel = opts.cancel;
-  config.adaptive = opts.adaptive;
+  config.exec = opts;
   return config;
 }
 
@@ -425,9 +419,7 @@ std::pair<FigureDef, FigureDef> MakeFig15() {
                config.max_size = 512;
                config.pixel_increment = 64;
              }
-             config.executor = opts.executor;
-             config.cancel = opts.cancel;
-             config.adaptive = opts.adaptive;
+             config.exec = opts;
              Runner runner(key.arch);
              const DomainSizeResult f =
                  RunDomainSize(runner, key.mode, DataType::kFloat, config);
@@ -458,9 +450,7 @@ std::pair<FigureDef, FigureDef> MakeFig15() {
 RegisterUsageConfig QuickRegisterUsage(const RunOptions& opts) {
   RegisterUsageConfig config;
   if (opts.quick) config.domain = Domain{256, 256};
-  config.executor = opts.executor;
-  config.cancel = opts.cancel;
-  config.adaptive = opts.adaptive;
+  config.exec = opts;
   return config;
 }
 

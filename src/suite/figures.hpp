@@ -17,28 +17,21 @@
 #include <string_view>
 #include <vector>
 
-#include "adapt/refiner.hpp"
 #include "exec/run_report.hpp"
-#include "exec/sweep_executor.hpp"
 #include "il/il.hpp"
 #include "report/record.hpp"
 #include "sim/gpu.hpp"
+#include "suite/sweep.hpp"
 
 namespace amdmb::suite::figures {
 
-/// How to run a figure build. The bench binaries pass the environment
+/// How to run a figure build: the execution options every curve's sweep
+/// runs with, plus the scale. The bench binaries pass the environment
 /// snapshot (quick = AMDMB_QUICK, process interrupt token); the serve
-/// daemon passes the request's quick flag and its own cancellation.
-struct RunOptions {
+/// daemon passes the request's quick flag and its own cancellation. A
+/// non-null `adaptive` is reflected in `figure.meta.adaptive`.
+struct RunOptions : ExecOptions {
   bool quick = false;
-  /// Sweep executor for every curve (null = process default).
-  const exec::SweepExecutor* executor = nullptr;
-  /// Cooperative cancellation for every curve's sweep (may be null).
-  const exec::CancelToken* cancel = nullptr;
-  /// Non-null runs every curve's sweep adaptively (coarse pass +
-  /// bisection, adapt::Refiner) instead of densely. Reflected in
-  /// `figure.meta.adaptive`.
-  const adapt::Settings* adaptive = nullptr;
 };
 
 /// One curve of a figure. `run` executes the sweep, appends the curve's

@@ -10,103 +10,49 @@ ReadLatencyResult RunReadLatency(const Runner& runner, ShaderMode mode,
                                  const ReadLatencyConfig& config) {
   Require(config.min_inputs >= 2 && config.max_inputs >= config.min_inputs,
           "ReadLatency: invalid input sweep");
-  ReadLatencyResult result;
-
   sim::LaunchConfig launch;
   launch.domain = config.domain;
   launch.mode = mode;
   launch.block = config.block;
   launch.repetitions = config.repetitions;
-  launch.profile = config.profile;
+  launch.profile = config.exec.profile;
   const WritePath write =
       mode == ShaderMode::kCompute ? WritePath::kGlobal : WritePath::kStream;
 
-  const std::size_t count = config.max_inputs - config.min_inputs + 1;
-  const auto measure_point = [&](std::size_t i, unsigned attempt) {
-    const unsigned inputs = config.min_inputs + static_cast<unsigned>(i);
-    GenericSpec spec;
-    spec.inputs = inputs;
-    spec.outputs = 1;
-    // Sec. III-B: ALU ops fixed to inputs - 1 so the fetch stays the
-    // bottleneck.
-    spec.alu_ops = inputs - 1;
-    spec.type = type;
-    spec.read_path = config.read_path;
-    spec.write_path = write;
-    spec.name = "readlat_in" + std::to_string(inputs);
-    ReadLatencyPoint point;
-    point.inputs = inputs;
-    point.m =
-        runner.Measure(GenerateGeneric(spec), launch, {spec.name, attempt});
-    return point;
+  const auto inputs_of = [&](std::size_t i) {
+    return config.min_inputs + static_cast<unsigned>(i);
   };
-
-  if (config.adaptive != nullptr) {
-    std::vector<std::optional<ReadLatencyPoint>> slots(count);
-    const adapt::Refiner refiner(*config.adaptive, config.executor,
-                                 config.retry, config.cancel);
-    adapt::Outcome outcome = refiner.Run(
-        count,
-        [&](std::size_t i) {
-          return static_cast<double>(config.min_inputs + i);
-        },
-        [&](std::size_t i, unsigned attempt) {
-          ReadLatencyPoint point = measure_point(i, attempt);
-          std::string label(sim::ToString(point.m.stats.bottleneck));
-          slots[i] = std::move(point);
-          return label;
-        },
-        &result.report);
-    for (exec::PointOutcome& point : result.report.points) {
-      point.label =
-          "readlat_in" +
-          std::to_string(config.min_inputs +
-                         static_cast<unsigned>(point.index));
-    }
-    for (std::optional<ReadLatencyPoint>& slot : slots) {
-      if (slot) result.points.push_back(std::move(*slot));
-    }
-    result.adaptive = std::move(outcome);
-  } else {
-    auto slots = exec::ExecutorOrDefault(config.executor)
-                     .MapWithPolicy(
-                         count,
-                         [&](std::size_t i, unsigned attempt) {
-                           return measure_point(i, attempt);
-                         },
-                         config.retry, &result.report, config.cancel);
-    for (std::size_t i = 0; i < slots.size(); ++i) {
-      result.report.points[i].label =
-          "readlat_in" +
-          std::to_string(config.min_inputs + static_cast<unsigned>(i));
-      if (slots[i]) result.points.push_back(std::move(*slots[i]));
-    }
-  }
+  const auto label_of = [&](std::size_t i) {
+    return "readlat_in" + std::to_string(inputs_of(i));
+  };
+  auto sweep = Sweep(
+      config.max_inputs - config.min_inputs + 1,
+      [&](std::size_t i) { return static_cast<double>(inputs_of(i)); },
+      label_of,
+      [&](std::size_t i, unsigned attempt) {
+        GenericSpec spec;
+        spec.inputs = inputs_of(i);
+        spec.outputs = 1;
+        // Sec. III-B: ALU ops fixed to inputs - 1 so the fetch stays the
+        // bottleneck.
+        spec.alu_ops = spec.inputs - 1;
+        spec.type = type;
+        spec.read_path = config.read_path;
+        spec.write_path = write;
+        spec.name = label_of(i);
+        return ReadLatencyPoint{spec.inputs,
+                                runner.Measure(GenerateGeneric(spec), launch,
+                                               {spec.name, attempt})};
+      },
+      config.exec);
 
   std::vector<double> xs;
   std::vector<double> ys;
-  for (const ReadLatencyPoint& point : result.points) {
+  for (const ReadLatencyPoint& point : sweep.points) {
     xs.push_back(point.inputs);
     ys.push_back(point.m.seconds);
   }
-  result.fit = FitLine(xs, ys);
-  return result;
-}
-
-SeriesSet ReadLatencyFigure(const std::vector<CurveKey>& curves,
-                            const ReadLatencyConfig& config,
-                            const std::string& title) {
-  SeriesSet figure(title, "Number of Inputs", "Time in seconds");
-  for (const CurveKey& key : curves) {
-    Runner runner(key.arch);
-    const ReadLatencyResult result =
-        RunReadLatency(runner, key.mode, key.type, config);
-    Series& series = figure.Get(key.Name());
-    for (const ReadLatencyPoint& p : result.points) {
-      series.Add(p.inputs, p.m.seconds);
-    }
-  }
-  return figure;
+  return {std::move(sweep), FitLine(xs, ys)};
 }
 
 std::vector<report::Finding> Findings(const ReadLatencyResult& result,

@@ -6,14 +6,12 @@
 // stays the bottleneck. Reports the per-input latency slope.
 #pragma once
 
-#include <optional>
 #include <vector>
 
-#include "adapt/refiner.hpp"
 #include "common/stats.hpp"
 #include "report/record.hpp"
-#include "report/series.hpp"
 #include "suite/microbench.hpp"
+#include "suite/sweep.hpp"
 
 namespace amdmb::suite {
 
@@ -24,21 +22,7 @@ struct ReadLatencyConfig {
   BlockShape block{64, 1};
   ReadPath read_path = ReadPath::kTexture;  ///< kGlobal for Fig. 12.
   unsigned repetitions = kPaperRepetitions;
-  /// Force hardware-counter profiling for every point of this sweep
-  /// (tests use this to bypass the cached AMDMB_PROF snapshot).
-  bool profile = false;
-  /// Sweep points run through this executor (null = the process default).
-  const exec::SweepExecutor* executor = nullptr;
-  /// Per-point retry/skip behaviour under faults (AMDMB_RETRY default).
-  exec::RetryPolicy retry = exec::RetryPolicy::FromEnv();
-  /// Optional cooperative cancellation: points not yet started when the
-  /// token fires are skipped (the bench binaries wire their SIGINT/
-  /// SIGTERM flag here so an interrupted run still flushes a partial
-  /// figure).
-  const exec::CancelToken* cancel = nullptr;
-  /// Non-null switches the sweep to adaptive refinement (adapt::Refiner);
-  /// the latency fit then uses only the refined points.
-  const adapt::Settings* adaptive = nullptr;
+  ExecOptions exec;
 };
 
 struct ReadLatencyPoint {
@@ -46,13 +30,8 @@ struct ReadLatencyPoint {
   Measurement m;
 };
 
-struct ReadLatencyResult {
-  std::vector<ReadLatencyPoint> points;  ///< Successful points only.
-  LineFit fit;  ///< seconds vs inputs.
-  /// Per-point outcome (ok / retried / skipped) of the whole sweep.
-  exec::RunReport report;
-  /// Refinement record; present only when the sweep ran adaptively.
-  std::optional<adapt::Outcome> adaptive;
+struct ReadLatencyResult : SweepResult<ReadLatencyPoint> {
+  LineFit fit;  ///< seconds vs inputs, over the measured points.
 };
 
 ReadLatencyResult RunReadLatency(const Runner& runner, ShaderMode mode,
@@ -64,9 +43,5 @@ ReadLatencyResult RunReadLatency(const Runner& runner, ShaderMode mode,
 /// an empty sweep (zeros), so faulted runs stay deterministic.
 std::vector<report::Finding> Findings(const ReadLatencyResult& result,
                                       const std::string& curve);
-
-SeriesSet ReadLatencyFigure(const std::vector<CurveKey>& curves,
-                            const ReadLatencyConfig& config,
-                            const std::string& title);
 
 }  // namespace amdmb::suite

@@ -14,101 +14,47 @@ WriteLatencyResult RunWriteLatency(const Runner& runner, ShaderMode mode,
   Require(config.max_outputs <= config.inputs,
           "WriteLatency: the paper keeps outputs below the input size so "
           "GPR usage stays pinned by the inputs");
-  WriteLatencyResult result;
-
   sim::LaunchConfig launch;
   launch.domain = config.domain;
   launch.mode = mode;
   launch.block = config.block;
   launch.repetitions = config.repetitions;
-  launch.profile = config.profile;
+  launch.profile = config.exec.profile;
   const WritePath write =
       mode == ShaderMode::kCompute ? WritePath::kGlobal : config.write_path;
 
-  const std::size_t count = config.max_outputs - config.min_outputs + 1;
-  const auto measure_point = [&](std::size_t i, unsigned attempt) {
-    const unsigned outputs = config.min_outputs + static_cast<unsigned>(i);
-    GenericSpec spec;
-    spec.inputs = config.inputs;
-    spec.outputs = outputs;
-    spec.alu_ops = config.alu_ops;
-    spec.type = type;
-    spec.read_path = ReadPath::kTexture;
-    spec.write_path = write;
-    spec.name = "writelat_out" + std::to_string(outputs);
-    WriteLatencyPoint point;
-    point.outputs = outputs;
-    point.m =
-        runner.Measure(GenerateGeneric(spec), launch, {spec.name, attempt});
-    return point;
+  const auto outputs_of = [&](std::size_t i) {
+    return config.min_outputs + static_cast<unsigned>(i);
   };
-
-  if (config.adaptive != nullptr) {
-    std::vector<std::optional<WriteLatencyPoint>> slots(count);
-    const adapt::Refiner refiner(*config.adaptive, config.executor,
-                                 config.retry, config.cancel);
-    adapt::Outcome outcome = refiner.Run(
-        count,
-        [&](std::size_t i) {
-          return static_cast<double>(config.min_outputs + i);
-        },
-        [&](std::size_t i, unsigned attempt) {
-          WriteLatencyPoint point = measure_point(i, attempt);
-          std::string label(sim::ToString(point.m.stats.bottleneck));
-          slots[i] = std::move(point);
-          return label;
-        },
-        &result.report);
-    for (exec::PointOutcome& point : result.report.points) {
-      point.label =
-          "writelat_out" +
-          std::to_string(config.min_outputs +
-                         static_cast<unsigned>(point.index));
-    }
-    for (std::optional<WriteLatencyPoint>& slot : slots) {
-      if (slot) result.points.push_back(std::move(*slot));
-    }
-    result.adaptive = std::move(outcome);
-  } else {
-    auto slots = exec::ExecutorOrDefault(config.executor)
-                     .MapWithPolicy(
-                         count,
-                         [&](std::size_t i, unsigned attempt) {
-                           return measure_point(i, attempt);
-                         },
-                         config.retry, &result.report, config.cancel);
-    for (std::size_t i = 0; i < slots.size(); ++i) {
-      result.report.points[i].label =
-          "writelat_out" +
-          std::to_string(config.min_outputs + static_cast<unsigned>(i));
-      if (slots[i]) result.points.push_back(std::move(*slots[i]));
-    }
-  }
+  const auto label_of = [&](std::size_t i) {
+    return "writelat_out" + std::to_string(outputs_of(i));
+  };
+  auto sweep = Sweep(
+      config.max_outputs - config.min_outputs + 1,
+      [&](std::size_t i) { return static_cast<double>(outputs_of(i)); },
+      label_of,
+      [&](std::size_t i, unsigned attempt) {
+        GenericSpec spec;
+        spec.inputs = config.inputs;
+        spec.outputs = outputs_of(i);
+        spec.alu_ops = config.alu_ops;
+        spec.type = type;
+        spec.read_path = ReadPath::kTexture;
+        spec.write_path = write;
+        spec.name = label_of(i);
+        return WriteLatencyPoint{spec.outputs,
+                                 runner.Measure(GenerateGeneric(spec), launch,
+                                                {spec.name, attempt})};
+      },
+      config.exec);
 
   std::vector<double> xs;
   std::vector<double> ys;
-  for (const WriteLatencyPoint& point : result.points) {
+  for (const WriteLatencyPoint& point : sweep.points) {
     xs.push_back(point.outputs);
     ys.push_back(point.m.seconds);
   }
-  result.fit = FitLine(xs, ys);
-  return result;
-}
-
-SeriesSet WriteLatencyFigure(const std::vector<CurveKey>& curves,
-                             const WriteLatencyConfig& config,
-                             const std::string& title) {
-  SeriesSet figure(title, "Number of Outputs", "Time in seconds");
-  for (const CurveKey& key : curves) {
-    Runner runner(key.arch);
-    const WriteLatencyResult result =
-        RunWriteLatency(runner, key.mode, key.type, config);
-    Series& series = figure.Get(key.Name());
-    for (const WriteLatencyPoint& p : result.points) {
-      series.Add(p.outputs, p.m.seconds);
-    }
-  }
-  return figure;
+  return {std::move(sweep), FitLine(xs, ys)};
 }
 
 std::vector<report::Finding> Findings(const WriteLatencyResult& result,

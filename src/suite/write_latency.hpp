@@ -8,14 +8,12 @@
 // (the flat left end of Fig. 13).
 #pragma once
 
-#include <optional>
 #include <vector>
 
-#include "adapt/refiner.hpp"
 #include "common/stats.hpp"
 #include "report/record.hpp"
-#include "report/series.hpp"
 #include "suite/microbench.hpp"
+#include "suite/sweep.hpp"
 
 namespace amdmb::suite {
 
@@ -28,21 +26,7 @@ struct WriteLatencyConfig {
   BlockShape block{64, 1};
   WritePath write_path = WritePath::kStream;  ///< kGlobal for Fig. 14.
   unsigned repetitions = kPaperRepetitions;
-  /// Force hardware-counter profiling for every point of this sweep
-  /// (tests use this to bypass the cached AMDMB_PROF snapshot).
-  bool profile = false;
-  /// Sweep points run through this executor (null = the process default).
-  const exec::SweepExecutor* executor = nullptr;
-  /// Per-point retry/skip behaviour under faults (AMDMB_RETRY default).
-  exec::RetryPolicy retry = exec::RetryPolicy::FromEnv();
-  /// Optional cooperative cancellation: points not yet started when the
-  /// token fires are skipped (the bench binaries wire their SIGINT/
-  /// SIGTERM flag here so an interrupted run still flushes a partial
-  /// figure).
-  const exec::CancelToken* cancel = nullptr;
-  /// Non-null switches the sweep to adaptive refinement (adapt::Refiner);
-  /// the latency fit then uses only the refined points.
-  const adapt::Settings* adaptive = nullptr;
+  ExecOptions exec;
 };
 
 struct WriteLatencyPoint {
@@ -50,13 +34,8 @@ struct WriteLatencyPoint {
   Measurement m;
 };
 
-struct WriteLatencyResult {
-  std::vector<WriteLatencyPoint> points;  ///< Successful points only.
-  LineFit fit;  ///< seconds vs outputs.
-  /// Per-point outcome (ok / retried / skipped) of the whole sweep.
-  exec::RunReport report;
-  /// Refinement record; present only when the sweep ran adaptively.
-  std::optional<adapt::Outcome> adaptive;
+struct WriteLatencyResult : SweepResult<WriteLatencyPoint> {
+  LineFit fit;  ///< seconds vs outputs, over the measured points.
 };
 
 WriteLatencyResult RunWriteLatency(const Runner& runner, ShaderMode mode,
@@ -68,9 +47,5 @@ WriteLatencyResult RunWriteLatency(const Runner& runner, ShaderMode mode,
 /// for an empty sweep (zeros), so faulted runs stay deterministic.
 std::vector<report::Finding> Findings(const WriteLatencyResult& result,
                                       const std::string& curve);
-
-SeriesSet WriteLatencyFigure(const std::vector<CurveKey>& curves,
-                             const WriteLatencyConfig& config,
-                             const std::string& title);
 
 }  // namespace amdmb::suite

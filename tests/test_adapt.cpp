@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <optional>
 #include <string>
@@ -120,13 +121,11 @@ TEST(TransitionTest, KneeFindsTheBendAndRejectsDegenerates) {
 // ---- Refiner over synthetic label fields ------------------------------
 
 /// A synthetic classifier: "FETCH" below the flip index, "ALU" at and
-/// above it. Counts measurements so tests can assert spend.
+/// above it. Stateless, so concurrent wave points may call it freely.
 struct StepField {
   std::size_t flip;
-  mutable std::vector<std::size_t> measured;
 
   std::string operator()(std::size_t index, unsigned /*attempt*/) const {
-    measured.push_back(index);
     return index >= flip ? "ALU" : "FETCH";
   }
 };
@@ -135,7 +134,7 @@ TEST(RefinerTest, BisectionBracketsTheFlipWithinTolerance) {
   adapt::Settings settings;
   settings.tol_steps = 1;
   const adapt::Refiner refiner(settings, nullptr, exec::RetryPolicy{});
-  const StepField field{/*flip=*/20, {}};
+  const StepField field{/*flip=*/20};
   const adapt::Outcome outcome = refiner.Run(
       33, [](std::size_t i) { return static_cast<double>(i); },
       [&](std::size_t i, unsigned a) { return field(i, a); });
@@ -169,7 +168,7 @@ TEST(RefinerTest, BudgetTruncatesDeterministically) {
   settings.tol_steps = 1;
   settings.budget = 4;  // Coarse pass (3) plus one bisection point.
   const adapt::Refiner refiner(settings, nullptr, exec::RetryPolicy{});
-  const StepField field{/*flip=*/20, {}};
+  const StepField field{/*flip=*/20};
   const adapt::Outcome outcome = refiner.Run(
       33, [](std::size_t i) { return static_cast<double>(i); },
       [&](std::size_t i, unsigned a) { return field(i, a); });
@@ -185,8 +184,8 @@ TEST(RefinerTest, TrajectoryIsIdenticalAtAnyExecutorWidth) {
   settings.tol_steps = 1;
   const exec::SweepExecutor serial(1);
   const exec::SweepExecutor wide(8);
-  const StepField f1{/*flip=*/11, {}};
-  const StepField f8{/*flip=*/11, {}};
+  const StepField f1{/*flip=*/11};
+  const StepField f8{/*flip=*/11};
   const adapt::Outcome a =
       adapt::Refiner(settings, &serial, exec::RetryPolicy{})
           .Run(65, [](std::size_t i) { return static_cast<double>(i); },
@@ -203,7 +202,7 @@ TEST(RefinerTest, TrajectoryIsIdenticalAtAnyExecutorWidth) {
 
 TEST(RefinerTest, AdaptiveFindingsCarryTransitionAndSpend) {
   const adapt::Refiner refiner({}, nullptr, exec::RetryPolicy{});
-  const StepField field{/*flip=*/20, {}};
+  const StepField field{/*flip=*/20};
   const adapt::Outcome outcome = refiner.Run(
       33, [](std::size_t i) { return 0.25 * static_cast<double>(i); },
       [&](std::size_t i, unsigned a) { return field(i, a); });
@@ -234,12 +233,13 @@ std::string DiagonalField(std::size_t ix, std::size_t iy) {
 TEST(FrontierTest, QuadrantRefinementMatchesDenseLabels) {
   adapt::FrontierConfig config;
   const auto x_of = [](std::size_t i) { return static_cast<double>(i); };
-  std::size_t spent = 0;
+  // Nodes of one level are measured concurrently.
+  std::atomic<std::size_t> spent{0};
   config.dense = false;
   const adapt::FrontierResult adaptive = adapt::RefineGrid(
       9, 8, x_of, x_of,
       [&](std::size_t ix, std::size_t iy, unsigned) {
-        ++spent;
+        spent.fetch_add(1, std::memory_order_relaxed);
         return DiagonalField(ix, iy);
       },
       config);
@@ -254,7 +254,7 @@ TEST(FrontierTest, QuadrantRefinementMatchesDenseLabels) {
   // Every cell — measured or filled from agreeing corners — matches the
   // dense truth, and refinement spent strictly fewer measurements.
   EXPECT_EQ(adaptive.frontier.cells, dense.frontier.cells);
-  EXPECT_EQ(spent, adaptive.frontier.points_measured);
+  EXPECT_EQ(spent.load(), adaptive.frontier.points_measured);
   EXPECT_LT(adaptive.frontier.points_measured,
             dense.frontier.points_measured);
   EXPECT_EQ(dense.frontier.points_measured, 9u * 8u);
@@ -361,7 +361,7 @@ TEST(AdaptiveBudgetTest, Fig7FamilySpendsAtMostAFifthOfDense) {
                          config);
   adapt::Settings settings;
   suite::AluFetchConfig adaptive_config = config;
-  adaptive_config.adaptive = &settings;
+  adaptive_config.exec.adaptive = &settings;
   const suite::AluFetchResult adaptive = suite::RunAluFetch(
       runner, ShaderMode::kPixel, DataType::kFloat, adaptive_config);
 
@@ -417,10 +417,10 @@ TEST(AdaptiveDeterminismTest, SeededFaultRetryDoesNotMovePoints) {
   adapt::Settings settings;
   suite::AluFetchConfig config;
   config.domain = Domain{256, 256};
-  config.adaptive = &settings;
+  config.exec.adaptive = &settings;
   // Generous attempt cap so every injected fault resolves to a retry,
   // not a skip (a skipped midpoint legitimately stops refinement).
-  config.retry.max_attempts = 8;
+  config.exec.retry.max_attempts = 8;
   const suite::AluFetchResult clean = suite::RunAluFetch(
       runner, ShaderMode::kPixel, DataType::kFloat, config);
   ASSERT_TRUE(clean.adaptive.has_value());

@@ -55,11 +55,17 @@ TEST(BlockExplorerTest, RejectsRv670) {
 TEST(BlockExplorerTest, FigureHasComputeCapableCurves) {
   BlockSizeConfig config;
   config.domain = Domain{256, 256};
-  const SeriesSet figure = BlockSizeFigure(config, "block sweep");
-  EXPECT_EQ(figure.All().size(), 2u);  // RV770 + RV870.
-  for (const Series& s : figure.All()) {
-    EXPECT_EQ(s.Points().size(), 7u);
+  std::size_t curves = 0;
+  for (const GpuArch& arch : AllArchs()) {
+    if (!arch.supports_compute) continue;
+    ++curves;
+    Runner runner(arch);
+    const BlockSizeResult r = RunBlockSizeExplorer(runner, config);
+    ASSERT_EQ(r.points.size(), 7u) << arch.name;
+    EXPECT_EQ(r.report.points.front().label, "block_64x1");
+    EXPECT_EQ(r.report.points.back().label, "block_1x64");
   }
+  EXPECT_EQ(curves, 2u);  // RV770 + RV870.
 }
 
 }  // namespace

@@ -190,5 +190,18 @@ TEST(PercentileTest, InterpolatesLinearlyOverSortedSamples) {
   EXPECT_DOUBLE_EQ(Percentile(samples, 90.0), 37.0);
 }
 
+TEST(MedianTest, OddCountTakesTheMiddleSample) {
+  EXPECT_EQ(Median({30.0, 10.0, 20.0}), 20.0);
+  EXPECT_EQ(Median({7.5}), 7.5);
+}
+
+TEST(MedianTest, EvenCountAveragesTheTwoMiddleSamples) {
+  // Input order must not matter: Median sorts its own copy.
+  EXPECT_EQ(Median({40.0, 10.0, 30.0, 20.0}), 25.0);
+  EXPECT_EQ(Median({1.0, 2.0}), 1.5);
+}
+
+TEST(MedianTest, EmptyIsZero) { EXPECT_EQ(Median({}), 0.0); }
+
 }  // namespace
 }  // namespace amdmb

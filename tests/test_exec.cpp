@@ -396,9 +396,9 @@ TEST(ExecDeterminismTest, AluFetchSweepBitIdenticalAcrossThreadCounts) {
   const SweepExecutor wide(8);
 
   suite::AluFetchConfig serial_config = config;
-  serial_config.executor = &serial;
+  serial_config.exec.executor = &serial;
   suite::AluFetchConfig wide_config = config;
-  wide_config.executor = &wide;
+  wide_config.exec.executor = &wide;
 
   const suite::Runner runner(arch);
   const suite::AluFetchResult a = RunAluFetch(
@@ -423,24 +423,24 @@ TEST(ExecFaultResilienceTest, AluFetchSweepDegradesDeterministically) {
   const GpuArch arch = MakeRV770();
   suite::AluFetchConfig config;
   config.domain = Domain{256, 256};
-  config.retry.max_attempts = 2;
-  config.retry.backoff_base_ms = 0.0;
+  config.exec.retry.max_attempts = 2;
+  config.exec.retry.backoff_base_ms = 0.0;
 
   const SweepExecutor serial(1);
   const SweepExecutor wide(8);
 
   // Fault-free reference sweep.
   suite::AluFetchConfig clean_config = config;
-  clean_config.executor = &serial;
+  clean_config.exec.executor = &serial;
   const suite::Runner runner(arch);
   const suite::AluFetchResult clean = RunAluFetch(
       runner, ShaderMode::kPixel, DataType::kFloat, clean_config);
 
   const fault::ScopedFaultInjector scoped("launch:0.3,seed=11");
   suite::AluFetchConfig serial_config = config;
-  serial_config.executor = &serial;
+  serial_config.exec.executor = &serial;
   suite::AluFetchConfig wide_config = config;
-  wide_config.executor = &wide;
+  wide_config.exec.executor = &wide;
 
   const suite::AluFetchResult a = RunAluFetch(
       runner, ShaderMode::kPixel, DataType::kFloat, serial_config);
@@ -490,10 +490,10 @@ TEST(ExecFaultResilienceTest, HangInjectionResolvesWithoutWedgingThePool) {
   suite::AluFetchConfig config;
   config.domain = Domain{256, 256};
   config.ratio_step = 2.0;  // 4 points is plenty.
-  config.retry.max_attempts = 2;
-  config.retry.backoff_base_ms = 0.0;
+  config.exec.retry.max_attempts = 2;
+  config.exec.retry.backoff_base_ms = 0.0;
   const SweepExecutor wide(4);
-  config.executor = &wide;
+  config.exec.executor = &wide;
 
   const suite::Runner runner(arch);
   const suite::AluFetchResult r = RunAluFetch(

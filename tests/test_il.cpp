@@ -179,8 +179,21 @@ TEST(VerifierTest, FlagsConstantOutOfRange) {
 
 TEST(VerifierTest, VerifyOrThrowThrowsConfigError) {
   Kernel k;
+  k.name = "no_outputs";
   k.sig = PixelSig(0, 0);
   EXPECT_THROW(VerifyOrThrow(k), ConfigError);
+  const VerifyResult r = Verify(k);
+  ASSERT_FALSE(r.ok());
+  try {
+    VerifyOrThrow(k);
+    FAIL() << "VerifyOrThrow accepted an invalid kernel";
+  } catch (const ConfigError& e) {
+    const std::string message = e.what();
+    EXPECT_NE(message.find("'no_outputs'"), std::string::npos) << message;
+    for (const std::string& problem : r.problems) {
+      EXPECT_NE(message.find(problem), std::string::npos) << problem;
+    }
+  }
 }
 
 TEST(PrinterTest, RendersDeclarationsAndInstructions) {

@@ -143,11 +143,11 @@ TEST(ProfDeterminismTest, CountersIdenticalAtAnyExecutorWidth) {
   suite::AluFetchConfig config;
   config.domain = kSmall;
   config.ratio_step = 2.0;
-  config.profile = true;
-  config.executor = &serial;
+  config.exec.profile = true;
+  config.exec.executor = &serial;
   const suite::AluFetchResult a = RunAluFetch(
       runner, ShaderMode::kPixel, DataType::kFloat, config);
-  config.executor = &wide;
+  config.exec.executor = &wide;
   const suite::AluFetchResult b = RunAluFetch(
       runner, ShaderMode::kPixel, DataType::kFloat, config);
   ASSERT_EQ(a.points.size(), b.points.size());
@@ -170,10 +170,10 @@ TEST(ProfDeterminismTest, RetriedPointsDoNotDoubleCount) {
   config.domain = kSmall;
   config.min_inputs = 2;
   config.max_inputs = 6;
-  config.profile = true;
-  config.retry.max_attempts = 8;
-  config.retry.backoff_base_ms = 0.0;
-  config.retry.backoff_cap_ms = 0.0;
+  config.exec.profile = true;
+  config.exec.retry.max_attempts = 8;
+  config.exec.retry.backoff_base_ms = 0.0;
+  config.exec.retry.backoff_cap_ms = 0.0;
   const suite::ReadLatencyResult clean =
       RunReadLatency(runner, ShaderMode::kPixel, DataType::kFloat, config);
   ASSERT_FALSE(clean.points.empty());
@@ -218,7 +218,7 @@ TEST(AttributionTest, AgreesWithHeuristicAcrossSweepFamilies) {
     suite::AluFetchConfig c;
     c.domain = kSmall;
     c.ratio_step = 1.0;
-    c.profile = true;
+    c.exec.profile = true;
     for (const DataType type : {DataType::kFloat, DataType::kFloat4}) {
       ExpectAttributionAgreement(
           RunAluFetch(runner, ShaderMode::kPixel, type, c).points,
@@ -232,7 +232,7 @@ TEST(AttributionTest, AgreesWithHeuristicAcrossSweepFamilies) {
     suite::ReadLatencyConfig c;
     c.domain = kSmall;
     c.max_inputs = 8;
-    c.profile = true;
+    c.exec.profile = true;
     ExpectAttributionAgreement(
         RunReadLatency(runner, ShaderMode::kPixel, DataType::kFloat, c)
             .points,
@@ -246,7 +246,7 @@ TEST(AttributionTest, AgreesWithHeuristicAcrossSweepFamilies) {
   {
     suite::WriteLatencyConfig c;
     c.domain = kSmall;
-    c.profile = true;
+    c.exec.profile = true;
     ExpectAttributionAgreement(
         RunWriteLatency(runner, ShaderMode::kPixel, DataType::kFloat, c)
             .points,
@@ -261,7 +261,7 @@ TEST(AttributionTest, AgreesWithHeuristicAcrossSweepFamilies) {
     suite::DomainSizeConfig c;
     c.max_size = 512;
     c.pixel_increment = 128;
-    c.profile = true;
+    c.exec.profile = true;
     ExpectAttributionAgreement(
         RunDomainSize(runner, ShaderMode::kPixel, DataType::kFloat, c)
             .points,
@@ -270,7 +270,7 @@ TEST(AttributionTest, AgreesWithHeuristicAcrossSweepFamilies) {
   {
     suite::RegisterUsageConfig c;
     c.domain = kSmall;
-    c.profile = true;
+    c.exec.profile = true;
     ExpectAttributionAgreement(
         RunRegisterUsage(runner, ShaderMode::kPixel, DataType::kFloat, c)
             .points,
@@ -279,7 +279,7 @@ TEST(AttributionTest, AgreesWithHeuristicAcrossSweepFamilies) {
   {
     suite::BlockSizeConfig c;
     c.domain = kSmall;
-    c.profile = true;
+    c.exec.profile = true;
     ExpectAttributionAgreement(RunBlockSizeExplorer(runner, c).points,
                                "block_size");
   }

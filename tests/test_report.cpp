@@ -164,6 +164,19 @@ TEST(JsonParserTest, RoundTripsEscapedStrings) {
   EXPECT_EQ(v.AsString(), nasty);
 }
 
+TEST(JsonParserTest, RejectsNestingBeyondTheDepthLimit) {
+  const auto nested = [](std::size_t depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  EXPECT_NO_THROW(JsonValue::Parse(nested(kMaxJsonDepth)));
+  EXPECT_THROW(JsonValue::Parse(nested(kMaxJsonDepth + 1)), ConfigError);
+  EXPECT_THROW(JsonValue::Parse("{\"a\": " + nested(kMaxJsonDepth) + "}"),
+               ConfigError);
+  // A multi-megabyte bomb fails at the limit instead of overflowing the
+  // stack.
+  EXPECT_THROW(JsonValue::Parse(std::string(2u << 20, '[')), ConfigError);
+}
+
 // ---- CSV sink golden file ----------------------------------------------
 
 TEST(CsvSinkTest, MatchesGoldenOutput) {

@@ -1058,6 +1058,38 @@ TEST(ServeServer, MalformedRequestLineGetsTypedProtocolError) {
   server.Drain();
 }
 
+/// Sends one ~2 MB request line of '[' (a nesting bomb for a recursive
+/// JSON parser) and asserts the daemon answers with a typed
+/// protocol_error and then still answers stats on the same connection.
+void ExpectNestingBombRejected(const std::string& socket_path) {
+  const int fd = ConnectUnixSocket(socket_path);
+  ASSERT_GE(fd, 0);
+  Session raw(fd);
+  ASSERT_TRUE(raw.WriteLine(std::string(2u << 20, '[')));
+  std::string line;
+  ASSERT_EQ(raw.ReadLine(&line, 30000), ReadStatus::kLine);
+  const Event error = ParseEvent(line);
+  ASSERT_EQ(error.type, EventType::kError);
+  EXPECT_EQ(error.body.StringOr("kind", ""), "protocol_error");
+  EXPECT_NE(error.body.StringOr("message", "").find("nesting"),
+            std::string::npos);
+  ASSERT_TRUE(raw.WriteLine(R"({"op":"stats"})"));
+  ASSERT_EQ(raw.ReadLine(&line, 30000), ReadStatus::kLine);
+  EXPECT_EQ(ParseEvent(line).type, EventType::kStats);
+}
+
+TEST(ServeServer, DeeplyNestedRequestGetsTypedProtocolError) {
+  TestRegistry registry;
+  registry.release->set_value();
+  ServerConfig config;
+  config.socket_path = TestSocketPath("nesting");
+  config.registry = &registry.defs;
+  Server server(config);
+  server.Start();
+  ExpectNestingBombRejected(config.socket_path);
+  server.Drain();
+}
+
 TEST(ServeServer, OversizedRequestLineGetsTypedErrorThenClose) {
   TestRegistry registry;
   registry.release->set_value();
@@ -1478,6 +1510,18 @@ TEST(ServeFleet, KillWorkerValidatesTheIndex) {
   } catch (const ConfigError& e) {
     EXPECT_NE(std::string(e.what()).find("no worker 7"), std::string::npos);
   }
+  supervisor.Drain();
+}
+
+TEST(ServeFleet, DeeplyNestedRequestGetsTypedProtocolError) {
+  FleetRegistry registry(TestGatePath("fleet_nesting"));  // Gate unused.
+  SupervisorConfig config = FleetConfig("fleet_nesting", registry, 2);
+  Supervisor supervisor(config);
+  supervisor.Start();
+  ExpectNestingBombRejected(config.socket_path);
+  // The supervisor parsed the bomb itself; its workers are untouched.
+  Client client = Client::Connect(config.socket_path);
+  EXPECT_EQ(client.Submit("fig_94", true, 0).type, EventType::kDone);
   supervisor.Drain();
 }
 

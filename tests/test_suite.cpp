@@ -79,10 +79,15 @@ TEST(AluFetchTest, FigureHasOneSeriesPerCurve) {
       {MakeRV770(), ShaderMode::kPixel, DataType::kFloat},
       {MakeRV770(), ShaderMode::kCompute, DataType::kFloat},
   };
-  const SeriesSet figure = AluFetchFigure(curves, config, "test");
-  EXPECT_EQ(figure.All().size(), 2u);
-  for (const Series& s : figure.All()) {
-    EXPECT_EQ(s.Points().size(), 2u);
+  for (const CurveKey& key : curves) {
+    Runner runner(key.arch);
+    const AluFetchResult r = RunAluFetch(runner, key.mode, key.type, config);
+    ASSERT_EQ(r.points.size(), 2u) << key.Name();
+    EXPECT_DOUBLE_EQ(r.points[0].ratio, 1.0);
+    EXPECT_DOUBLE_EQ(r.points[1].ratio, 2.0);
+    ASSERT_EQ(r.report.points.size(), 2u);
+    EXPECT_EQ(r.report.points[0].label, "alufetch_r1.00");
+    EXPECT_EQ(r.report.points[1].label, "alufetch_r2.00");
   }
 }
 

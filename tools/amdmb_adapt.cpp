@@ -219,7 +219,7 @@ int RunBudget(const std::string& slug, double max_ratio,
     const suite::AluFetchResult dense =
         suite::RunAluFetch(runner, key.mode, key.type, family->config);
     suite::AluFetchConfig adaptive_config = family->config;
-    adaptive_config.adaptive = &settings;
+    adaptive_config.exec.adaptive = &settings;
     const suite::AluFetchResult adaptive =
         suite::RunAluFetch(runner, key.mode, key.type, adaptive_config);
     dense_total += dense.points.size();

@@ -13,7 +13,6 @@
 //   --out -   write the JSON document to stdout only.
 //   default   BENCH_PERF.json in AMDMB_JSON_DIR (falling back to the
 //             working directory), summary line to stderr.
-#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
@@ -24,6 +23,7 @@
 #include <vector>
 
 #include "common/env.hpp"
+#include "common/stats.hpp"
 #include "common/status.hpp"
 #include "common/version.hpp"
 #include "report/json.hpp"
@@ -38,22 +38,6 @@ int Usage(const char* argv0) {
   std::cerr << "usage: " << argv0
             << " [--groups G] [--samples R] [--warmup W] [--out FILE]\n";
   return 2;
-}
-
-double MedianOf(std::vector<double> values) {
-  Require(!values.empty(), "amdmb_perf: median of an empty sample set");
-  std::sort(values.begin(), values.end());
-  const std::size_t n = values.size();
-  return n % 2 == 1 ? values[n / 2]
-                    : 0.5 * (values[n / 2 - 1] + values[n / 2]);
-}
-
-double PercentileOf(std::vector<double> values, double fraction) {
-  Require(!values.empty(), "amdmb_perf: percentile of an empty sample set");
-  std::sort(values.begin(), values.end());
-  const std::size_t rank = static_cast<std::size_t>(
-      fraction * static_cast<double>(values.size() - 1) + 0.5);
-  return values[std::min(rank, values.size() - 1)];
 }
 
 unsigned ParseCount(const char* text, const char* flag) {
@@ -128,11 +112,11 @@ int main(int argc, char** argv) {
         group.push_back(once());
         all_samples.push_back(group.back());
       }
-      group_medians.push_back(MedianOf(std::move(group)));
+      group_medians.push_back(Median(std::move(group)));
     }
 
-    const double median_ns = MedianOf(group_medians);
-    const double p95_ns = PercentileOf(all_samples, 0.95);
+    const double median_ns = Median(group_medians);
+    const double p95_ns = Percentile(all_samples, 95.0);
     const double points_per_second =
         median_ns > 0.0 ? 1e9 / median_ns : 0.0;
 

@@ -100,7 +100,7 @@ std::vector<ProfilePtr> RunFigure(const std::string& slug,
   const Runner runner(arch);
   if (slug == "fig_7" || slug == "fig_8") {
     AluFetchConfig c;
-    c.profile = true;
+    c.exec.profile = true;
     c.domain = Domain{256, 256};
     c.ratio_step = 1.0;
     if (slug == "fig_8") c.block = BlockShape{4, 16};
@@ -108,34 +108,34 @@ std::vector<ProfilePtr> RunFigure(const std::string& slug,
   }
   if (slug == "fig_11" || slug == "fig_12") {
     ReadLatencyConfig c;
-    c.profile = true;
+    c.exec.profile = true;
     c.domain = Domain{256, 256};
     if (slug == "fig_12") c.read_path = ReadPath::kGlobal;
     return Collect(RunReadLatency(runner, mode, type, c).points);
   }
   if (slug == "fig_13" || slug == "fig_14") {
     WriteLatencyConfig c;
-    c.profile = true;
+    c.exec.profile = true;
     c.domain = Domain{256, 256};
     if (slug == "fig_14") c.write_path = WritePath::kGlobal;
     return Collect(RunWriteLatency(runner, mode, type, c).points);
   }
   if (slug == "fig_15") {
     DomainSizeConfig c;
-    c.profile = true;
+    c.exec.profile = true;
     c.max_size = 512;
     c.pixel_increment = 64;
     return Collect(RunDomainSize(runner, mode, type, c).points);
   }
   if (slug == "fig_16") {
     RegisterUsageConfig c;
-    c.profile = true;
+    c.exec.profile = true;
     c.domain = Domain{256, 256};
     return Collect(RunRegisterUsage(runner, mode, type, c).points);
   }
   if (slug == "ext_block_size") {
     BlockSizeConfig c;
-    c.profile = true;
+    c.exec.profile = true;
     c.type = type;
     c.domain = Domain{256, 256};
     return Collect(RunBlockSizeExplorer(runner, c).points);
