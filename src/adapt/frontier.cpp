@@ -257,7 +257,7 @@ report::Figure BuildFrontierFigure(const FrontierConfig& config) {
   figure.frontier = std::move(refined.frontier);
   report::FinalizeMeta(figure);
   // Pinned like kerncap: the map must be byte-identical across thread
-  // counts and fleet workers regardless of the host env.
+  // counts regardless of the host env.
   figure.meta.threads = 1;
   figure.meta.adaptive = !config.dense;
   figure.meta.archs = {"4870"};

@@ -59,11 +59,6 @@ void CheckInjectedFault(fault::FaultSite site, std::string_view point,
     case fault::FaultSite::kReadback:
       throw CalError(CalResult::kCalReadbackFailed, "readback",
                      std::string(point), attempt, "injected readback fault");
-    case fault::FaultSite::kWorkerCrash:
-    case fault::FaultSite::kWorkerHang:
-      // Fleet-level sites: consulted by serve workers on heartbeats,
-      // never at a CAL boundary.
-      throw SimError("CheckInjectedFault: worker fault site at CAL layer");
   }
   throw SimError("CheckInjectedFault: unknown fault site");
 }

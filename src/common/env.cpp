@@ -77,37 +77,6 @@ unsigned ParseServeInflight(std::string_view text) {
   return static_cast<unsigned>(n);
 }
 
-unsigned ParseWorkerCount(std::string_view text) {
-  std::uint64_t n = 0;
-  const auto [ptr, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), n);
-  Require(ec == std::errc() && ptr == text.data() + text.size() && n <= 32,
-          "AMDMB_WORKERS='" + std::string(text) +
-              "': must be a worker-process count in [0, 32]");
-  return static_cast<unsigned>(n);
-}
-
-std::uint64_t ParseDeadlineMs(std::string_view text) {
-  std::uint64_t n = 0;
-  const auto [ptr, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), n);
-  Require(ec == std::errc() && ptr == text.data() + text.size(),
-          "AMDMB_DEADLINE_MS='" + std::string(text) +
-              "': must be a millisecond count (non-negative integer)");
-  return n;
-}
-
-std::uint64_t ParseHeartbeatMs(std::string_view text) {
-  std::uint64_t n = 0;
-  const auto [ptr, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), n);
-  Require(ec == std::errc() && ptr == text.data() + text.size() &&
-              n >= 10 && n <= 60000,
-          "AMDMB_HEARTBEAT_MS='" + std::string(text) +
-              "': must be a heartbeat interval in [10, 60000] ms");
-  return n;
-}
-
 unsigned ParseAdaptTol(std::string_view text) {
   std::uint64_t n = 0;
   const auto [ptr, ec] =
@@ -158,15 +127,6 @@ Options ParseFrom(const std::function<const char*(const char*)>& lookup) {
   }
   if (const auto v = NonEmpty(lookup("AMDMB_SERVE_INFLIGHT"))) {
     options.serve_inflight = ParseServeInflight(*v);
-  }
-  if (const auto v = NonEmpty(lookup("AMDMB_WORKERS"))) {
-    options.workers = ParseWorkerCount(*v);
-  }
-  if (const auto v = NonEmpty(lookup("AMDMB_DEADLINE_MS"))) {
-    options.deadline_ms = ParseDeadlineMs(*v);
-  }
-  if (const auto v = NonEmpty(lookup("AMDMB_HEARTBEAT_MS"))) {
-    options.heartbeat_ms = ParseHeartbeatMs(*v);
   }
   if (const auto v = NonEmpty(lookup("AMDMB_ADAPT"))) {
     options.adapt = (*v)[0] != '0';

@@ -19,11 +19,8 @@
 //   AMDMB_TRACE_CAP  per-launch trace/event capacity, positive integer.
 //   AMDMB_SERVE_SOCKET    amdmb_serve / amdmb_client Unix-socket path.
 //   AMDMB_SERVE_QUEUE     daemon admission queue depth, [0, 4096].
-//   AMDMB_SERVE_INFLIGHT  daemon max concurrent sweeps, [1, 64].
-//   AMDMB_WORKERS         supervised worker processes, [0, 32]; 0 = the
-//                         single-process daemon (no fleet).
-//   AMDMB_DEADLINE_MS     per-request deadline in ms, 0 = unlimited.
-//   AMDMB_HEARTBEAT_MS    worker heartbeat interval in ms, [10, 60000].
+//   AMDMB_SERVE_INFLIGHT  daemon max concurrent sweeps, [1, 64]; unset
+//                         = the shared sweep pool's width.
 //   AMDMB_ADAPT           adaptive (coarse-to-fine) sweeps in the bench
 //                         binaries ("1" on, "0"/unset off).
 //   AMDMB_ADAPT_TOL       adaptive bracket tolerance in dense grid
@@ -59,10 +56,9 @@ struct Options {
   /// kDefaultServeSocket when unset.
   std::optional<std::string> serve_socket;
   std::size_t serve_queue = 16;          ///< AMDMB_SERVE_QUEUE, [0, 4096].
-  unsigned serve_inflight = 1;           ///< AMDMB_SERVE_INFLIGHT, [1, 64].
-  unsigned workers = 0;                  ///< AMDMB_WORKERS, [0, 32].
-  std::uint64_t deadline_ms = 0;         ///< AMDMB_DEADLINE_MS, 0 = off.
-  std::uint64_t heartbeat_ms = 250;      ///< AMDMB_HEARTBEAT_MS.
+  /// AMDMB_SERVE_INFLIGHT, [1, 64]; amdmb_serve falls back to
+  /// serve::DefaultInflight when unset.
+  std::optional<unsigned> serve_inflight;
   bool adapt = false;                    ///< AMDMB_ADAPT.
   unsigned adapt_tol = 2;                ///< AMDMB_ADAPT_TOL, [1, 64].
   std::uint64_t adapt_budget = 0;        ///< AMDMB_ADAPT_BUDGET, 0 = off.
@@ -91,18 +87,6 @@ std::size_t ParseServeQueue(std::string_view text);
 /// AMDMB_SERVE_INFLIGHT grammar: concurrent-sweep bound in [1, 64].
 /// Throws ConfigError.
 unsigned ParseServeInflight(std::string_view text);
-
-/// AMDMB_WORKERS grammar: supervised worker-process count in [0, 32]
-/// (0 = single-process daemon). Throws ConfigError.
-unsigned ParseWorkerCount(std::string_view text);
-
-/// AMDMB_DEADLINE_MS grammar: a non-negative millisecond count
-/// (0 = no per-request deadline). Throws ConfigError.
-std::uint64_t ParseDeadlineMs(std::string_view text);
-
-/// AMDMB_HEARTBEAT_MS grammar: heartbeat interval in [10, 60000] ms.
-/// Throws ConfigError.
-std::uint64_t ParseHeartbeatMs(std::string_view text);
 
 /// AMDMB_ADAPT_TOL grammar: a bracket tolerance in dense grid steps,
 /// [1, 64]. Throws ConfigError.

@@ -51,8 +51,6 @@ std::string_view ToString(FaultSite site) {
     case FaultSite::kLaunch: return "launch";
     case FaultSite::kHang: return "hang";
     case FaultSite::kReadback: return "readback";
-    case FaultSite::kWorkerCrash: return "worker_crash";
-    case FaultSite::kWorkerHang: return "worker_hang";
   }
   throw SimError("ToString(FaultSite): unknown value");
 }
@@ -63,8 +61,6 @@ double FaultSpec::Probability(FaultSite site) const {
     case FaultSite::kLaunch: return launch;
     case FaultSite::kHang: return hang;
     case FaultSite::kReadback: return readback;
-    case FaultSite::kWorkerCrash: return worker_crash;
-    case FaultSite::kWorkerHang: return worker_hang;
   }
   throw SimError("FaultSpec::Probability: unknown site");
 }
@@ -94,10 +90,6 @@ FaultSpec FaultSpec::Parse(std::string_view text) {
       spec.hang = ParseProbability(token, value);
     } else if (name == "readback") {
       spec.readback = ParseProbability(token, value);
-    } else if (name == "worker_crash") {
-      spec.worker_crash = ParseProbability(token, value);
-    } else if (name == "worker_hang") {
-      spec.worker_hang = ParseProbability(token, value);
     } else if (name == "seed") {
       char* end = nullptr;
       const std::string seed_text(value);
@@ -112,7 +104,7 @@ FaultSpec FaultSpec::Parse(std::string_view text) {
       Require(false, "AMDMB_FAULTS: unknown fault site '" +
                          std::string(name) +
                          "' (expected compile, launch, hang, readback, "
-                         "worker_crash, worker_hang, or seed)");
+                         "or seed)");
     }
     if (comma == text.size()) break;
   }

@@ -27,15 +27,13 @@ namespace amdmb::fault {
 
 /// Runtime boundary at which a fault can be injected.
 enum class FaultSite : unsigned {
-  kCompile = 0,      ///< IL -> ISA compilation fails.
-  kLaunch = 1,       ///< Kernel launch fails transiently.
-  kHang = 2,         ///< Kernel never finishes; the watchdog must fire.
-  kReadback = 3,     ///< Timer/counter readback fails.
-  kWorkerCrash = 4,  ///< Fleet worker process exits hard on a heartbeat.
-  kWorkerHang = 5,   ///< Fleet worker stops answering heartbeats.
+  kCompile = 0,   ///< IL -> ISA compilation fails.
+  kLaunch = 1,    ///< Kernel launch fails transiently.
+  kHang = 2,      ///< Kernel never finishes; the watchdog must fire.
+  kReadback = 3,  ///< Timer/counter readback fails.
 };
 
-inline constexpr std::size_t kFaultSiteCount = 6;
+inline constexpr std::size_t kFaultSiteCount = 4;
 
 std::string_view ToString(FaultSite site);
 
@@ -45,20 +43,16 @@ struct FaultSpec {
   double launch = 0.0;
   double hang = 0.0;
   double readback = 0.0;
-  double worker_crash = 0.0;
-  double worker_hang = 0.0;
   std::uint64_t seed = 0;
 
   double Probability(FaultSite site) const;
   bool AnyEnabled() const {
-    return compile > 0.0 || launch > 0.0 || hang > 0.0 || readback > 0.0 ||
-           worker_crash > 0.0 || worker_hang > 0.0;
+    return compile > 0.0 || launch > 0.0 || hang > 0.0 || readback > 0.0;
   }
 
   /// Parses "site:prob,...,seed=N" (":" and "=" both accepted as
-  /// separators). Sites: compile, launch, hang, readback, worker_crash,
-  /// worker_hang. Probabilities must lie in [0, 1]. Throws ConfigError
-  /// on anything malformed.
+  /// separators). Sites: compile, launch, hang, readback. Probabilities
+  /// must lie in [0, 1]. Throws ConfigError on anything malformed.
   static FaultSpec Parse(std::string_view text);
 };
 

@@ -13,8 +13,8 @@
 //
 // Determinism contract (asserted by tests and the kerncap-smoke CI
 // job): for a fixed kernel and quick flag, the figure's BenchJson is
-// byte-identical across AMDMB_THREADS values and across single-daemon
-// vs fleet runs. Env-dependent meta fields (threads, watchdog) are
+// byte-identical across AMDMB_THREADS values and between the CLI and
+// the daemon. Env-dependent meta fields (threads, watchdog) are
 // therefore pinned here instead of inherited from the process.
 #pragma once
 

@@ -25,7 +25,7 @@ std::string_view ToString(RejectReason reason) {
 
 std::string ContentHash(std::string_view il) {
   // FNV-1a 64-bit: deterministic across platforms, cheap, and stable —
-  // it is wire protocol (routing key + figure identity), not security.
+  // it is wire protocol (figure identity), not security.
   std::uint64_t hash = 1469598103934665603ull;
   for (const char c : il) {
     hash ^= static_cast<unsigned char>(c);

@@ -65,8 +65,7 @@ struct IntakeLimits {
 };
 
 /// Content identity of submitted IL text: FNV-1a 64-bit over the raw
-/// bytes, rendered as 16 hex digits. The fleet routes characterize
-/// requests by this hash, and it names the figure record.
+/// bytes, rendered as 16 hex digits. It names the figure record.
 std::string ContentHash(std::string_view il);
 
 /// A kernel that survived intake: parsed, verified, compiled for every

@@ -168,23 +168,6 @@ std::uint64_t Client::Drain() {
   }
 }
 
-void Client::KillWorker(unsigned index) {
-  Request request;
-  request.op = Request::Op::kKillWorker;
-  request.worker = index;
-  if (!session_->WriteLine(SerializeRequest(request))) {
-    throw ConfigError("client: daemon closed the connection");
-  }
-  for (;;) {
-    const Event event = NextEvent();
-    if (event.type == EventType::kKilled) return;
-    if (event.type == EventType::kError) {
-      throw ConfigError("client: kill_worker failed: " +
-                        event.body.StringOr("message", "unknown error"));
-    }
-  }
-}
-
 std::string LoadGenReport::Render() const {
   std::ostringstream os;
   os << "load generator: " << requests << " requests, " << completed
@@ -194,11 +177,6 @@ std::string LoadGenReport::Render() const {
      << "  latency p50 " << FormatDouble(p50_seconds, 3) << " s, p90 "
      << FormatDouble(p90_seconds, 3) << " s, p99 "
      << FormatDouble(p99_seconds, 3) << " s\n";
-  if (kills > 0) {
-    os << "  chaos: " << kills << " worker kill(s), " << worker_lost
-       << " worker_lost, " << deadline_exceeded << " deadline_exceeded, "
-       << "availability " << FormatDouble(availability * 100.0, 1) << " %\n";
-  }
   return os.str();
 }
 
@@ -206,13 +184,12 @@ LoadGenReport RunLoadGenerator(const LoadGenOptions& options) {
   Require(!options.figures.empty(), "load generator: no figures to pick");
   Require(options.concurrency >= 1, "load generator: concurrency < 1");
 
-  // The whole request schedule — figure, priority, and any chaos kill
-  // points — is derived from the seed up front, so it is identical
-  // across runs regardless of worker interleaving.
+  // The whole request schedule — figure and priority — is derived from
+  // the seed up front, so it is identical across runs regardless of
+  // worker interleaving.
   struct Planned {
     std::string figure;
     int priority;
-    int kill_worker;  ///< Chaos: SIGKILL this slot first; -1 = none.
   };
   std::vector<Planned> plan;
   plan.reserve(options.requests);
@@ -220,34 +197,13 @@ LoadGenReport RunLoadGenerator(const LoadGenOptions& options) {
   for (std::size_t i = 0; i < options.requests; ++i) {
     const std::string& figure =
         options.figures[rng.NextBelow(options.figures.size())];
-    plan.push_back({figure, static_cast<int>(rng.NextBelow(3)), -1});
-  }
-  if (options.kill_workers > 0) {
-    // Chaos needs a fleet: learn the slot count from the daemon.
-    Client probe = Client::Connect(options.socket_path,
-                                   options.connect_retries);
-    const std::size_t fleet = probe.Stats().workers.size();
-    if (fleet == 0) {
-      throw ConfigError(
-          "load generator: --kill-worker needs a fleet daemon "
-          "(AMDMB_WORKERS >= 1); this one reports no workers");
-    }
-    if (plan.empty()) {
-      throw ConfigError("load generator: --kill-worker needs requests > 0");
-    }
-    for (unsigned k = 0; k < options.kill_workers; ++k) {
-      plan[rng.NextBelow(plan.size())].kill_worker =
-          static_cast<int>(rng.NextBelow(fleet));
-    }
+    plan.push_back({figure, static_cast<int>(rng.NextBelow(3))});
   }
 
   std::atomic<std::size_t> next{0};
   std::atomic<std::size_t> completed{0};
   std::atomic<std::size_t> rejected{0};
   std::atomic<std::size_t> failed{0};
-  std::atomic<std::size_t> worker_lost{0};
-  std::atomic<std::size_t> deadline_exceeded{0};
-  std::atomic<std::size_t> kills{0};
   std::mutex latencies_mutex;
   std::vector<double> latencies;
 
@@ -263,14 +219,6 @@ LoadGenReport RunLoadGenerator(const LoadGenOptions& options) {
       for (;;) {
         const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
         if (i >= plan.size()) return;
-        if (plan[i].kill_worker >= 0) {
-          try {
-            client.KillWorker(static_cast<unsigned>(plan[i].kill_worker));
-            kills.fetch_add(1, std::memory_order_relaxed);
-          } catch (const std::exception&) {
-            // Chaos against an already-dead slot; the submit proceeds.
-          }
-        }
         const auto start = std::chrono::steady_clock::now();
         const Event event =
             client.Submit(plan[i].figure, options.quick, plan[i].priority);
@@ -289,16 +237,9 @@ LoadGenReport RunLoadGenerator(const LoadGenOptions& options) {
           case EventType::kRejected:
             rejected.fetch_add(1, std::memory_order_relaxed);
             break;
-          default: {
+          default:
             failed.fetch_add(1, std::memory_order_relaxed);
-            const std::string kind = event.body.StringOr("kind", "");
-            if (kind == "worker_lost") {
-              worker_lost.fetch_add(1, std::memory_order_relaxed);
-            } else if (kind == "deadline_exceeded") {
-              deadline_exceeded.fetch_add(1, std::memory_order_relaxed);
-            }
             break;
-          }
         }
       }
     } catch (const std::exception&) {
@@ -323,14 +264,6 @@ LoadGenReport RunLoadGenerator(const LoadGenOptions& options) {
   report.completed = completed.load();
   report.rejected = rejected.load();
   report.failed = failed.load();
-  report.worker_lost = worker_lost.load();
-  report.deadline_exceeded = deadline_exceeded.load();
-  report.kills = kills.load();
-  if (report.requests > report.rejected) {
-    report.availability =
-        static_cast<double>(report.completed) /
-        static_cast<double>(report.requests - report.rejected);
-  }
   report.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();

@@ -61,11 +61,6 @@ class Client {
   /// done. Returns the daemon's completed-request count.
   std::uint64_t Drain();
 
-  /// Chaos: asks a fleet supervisor to SIGKILL worker `index`; blocks
-  /// until the "killed" acknowledgement. Throws ConfigError when the
-  /// daemon is not a supervisor or the index is out of range.
-  void KillWorker(unsigned index);
-
  private:
   explicit Client(int fd) : session_(std::make_unique<Session>(fd)) {}
 
@@ -98,11 +93,6 @@ struct LoadGenOptions {
   std::vector<std::string> figures = {"fig_7", "fig_11", "fig_13"};
   /// Connect retries for each generator connection (see Client::Connect).
   unsigned connect_retries = 0;
-  /// Chaos mode (amdmb_client --kill-worker): SIGKILL this many workers
-  /// during the run. Kill points (request index) and targets (worker
-  /// slot) are drawn from the same seed as the request plan, so a chaos
-  /// run is replayable. Requires a fleet daemon (stats report workers).
-  unsigned kill_workers = 0;
 };
 
 struct LoadGenReport {
@@ -110,17 +100,11 @@ struct LoadGenReport {
   std::size_t completed = 0;
   std::size_t rejected = 0;
   std::size_t failed = 0;
-  std::size_t worker_lost = 0;        ///< error kind=worker_lost.
-  std::size_t deadline_exceeded = 0;  ///< error kind=deadline_exceeded.
-  std::size_t kills = 0;              ///< Chaos kill_worker ops issued.
   double wall_seconds = 0.0;
   double throughput_rps = 0.0;  ///< Completed requests per second.
   double p50_seconds = 0.0;     ///< Completed-request latency tails.
   double p90_seconds = 0.0;
   double p99_seconds = 0.0;
-  /// Completed / (requests - rejected): the fraction of admitted
-  /// requests that survived the chaos to a done event.
-  double availability = 0.0;
 
   /// Human-readable summary block.
   std::string Render() const;

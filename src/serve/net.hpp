@@ -1,7 +1,7 @@
-// Unix-domain socket plumbing shared by the daemon, the supervisor,
-// and the client: listener creation with stale-socket recovery, and a
-// non-throwing connect for heartbeat / proxy paths that treat a refused
-// connection as data (a dead worker) rather than an error.
+// Unix-domain socket plumbing shared by the daemon and the client:
+// listener creation with stale-socket recovery, and a non-throwing
+// connect for the client's retry loop, which treats a refused
+// connection as data (no daemon yet) rather than an error.
 #pragma once
 
 #include <string>

@@ -66,26 +66,6 @@ Request ParseRequest(std::string_view line) {
     request.op = Request::Op::kStats;
   } else if (name == "drain") {
     request.op = Request::Op::kDrain;
-  } else if (name == "ping") {
-    request.op = Request::Op::kPing;
-    const double seq = doc.NumberOr("seq", 0.0);
-    if (seq < 0.0 || seq != static_cast<std::uint64_t>(seq)) {
-      throw ConfigError("request: ping \"seq\" must be a non-negative "
-                        "integer");
-    }
-    request.seq = static_cast<std::uint64_t>(seq);
-  } else if (name == "kill_worker") {
-    request.op = Request::Op::kKillWorker;
-    const report::JsonValue* worker = doc.Find("worker");
-    if (worker == nullptr) {
-      throw ConfigError("request: kill_worker needs a \"worker\" index");
-    }
-    const double index = worker->AsNumber();
-    if (index < 0.0 || index != static_cast<unsigned>(index)) {
-      throw ConfigError("request: kill_worker \"worker\" must be a "
-                        "non-negative integer");
-    }
-    request.worker = static_cast<unsigned>(index);
   } else {
     throw ConfigError("request: unknown op \"" + name + "\"");
   }
@@ -113,12 +93,6 @@ std::string SerializeRequest(const Request& request) {
     case Request::Op::kDrain:
       os << "{\"op\":\"drain\"}";
       break;
-    case Request::Op::kPing:
-      os << "{\"op\":\"ping\",\"seq\":" << request.seq << "}";
-      break;
-    case Request::Op::kKillWorker:
-      os << "{\"op\":\"kill_worker\",\"worker\":" << request.worker << "}";
-      break;
   }
   return os.str();
 }
@@ -136,8 +110,6 @@ std::string_view ToString(EventType type) {
     case EventType::kError: return "error";
     case EventType::kStats: return "stats";
     case EventType::kDrained: return "drained";
-    case EventType::kPong: return "pong";
-    case EventType::kKilled: return "killed";
   }
   throw SimError("ToString(EventType): unknown value");
 }
@@ -145,8 +117,6 @@ std::string_view ToString(EventType type) {
 std::string_view ToString(ErrorKind kind) {
   switch (kind) {
     case ErrorKind::kSweepFailed: return "sweep_failed";
-    case ErrorKind::kDeadlineExceeded: return "deadline_exceeded";
-    case ErrorKind::kWorkerLost: return "worker_lost";
     case ErrorKind::kProtocolError: return "protocol_error";
   }
   throw SimError("ToString(ErrorKind): unknown value");
@@ -162,8 +132,7 @@ Event ParseEvent(std::string_view line) {
        {EventType::kAccepted, EventType::kRejected, EventType::kStatic,
         EventType::kProgress, EventType::kPoint, EventType::kProfile,
         EventType::kRefine, EventType::kDone, EventType::kError,
-        EventType::kStats,
-        EventType::kDrained, EventType::kPong, EventType::kKilled}) {
+        EventType::kStats, EventType::kDrained}) {
     if (name == ToString(type)) {
       event.type = type;
       return event;
@@ -280,23 +249,6 @@ std::string SerializeStatic(std::uint64_t id, const StaticReport& report) {
   return os.str();
 }
 
-std::string SerializePong(unsigned worker, std::uint64_t seq,
-                          const PongStats& stats) {
-  std::ostringstream os;
-  os << "{\"event\":\"pong\",\"worker\":" << worker << ",\"seq\":" << seq
-     << ",\"completed\":" << stats.completed
-     << ",\"failed\":" << stats.failed
-     << ",\"cache_hits\":" << stats.cache_hits
-     << ",\"cache_misses\":" << stats.cache_misses << "}";
-  return os.str();
-}
-
-std::string SerializeKilled(unsigned worker) {
-  std::ostringstream os;
-  os << "{\"event\":\"killed\",\"worker\":" << worker << "}";
-  return os.str();
-}
-
 std::string SerializeDrained(std::uint64_t completed) {
   std::ostringstream os;
   os << "{\"event\":\"drained\",\"completed\":" << completed << "}";
@@ -325,18 +277,6 @@ std::string SerializeStats(const ServeStats& stats) {
        << ",\"p99_seconds\":" << report::JsonNumber(l.p99_seconds) << "}";
   }
   os << "]";
-  if (!stats.workers.empty()) {
-    os << ",\"workers\":[";
-    for (std::size_t i = 0; i < stats.workers.size(); ++i) {
-      const WorkerStatus& w = stats.workers[i];
-      if (i > 0) os << ",";
-      os << "{\"index\":" << w.index << ",\"state\":" << Quoted(w.state)
-         << ",\"pid\":" << w.pid << ",\"restarts\":" << w.restarts
-         << ",\"outstanding\":" << w.outstanding
-         << ",\"generation\":" << w.generation << "}";
-    }
-    os << "]";
-  }
   os << "}";
   return os.str();
 }
@@ -374,18 +314,6 @@ ServeStats ParseStats(const report::JsonValue& body) {
       l.p90_seconds = entry.NumberOr("p90_seconds", 0.0);
       l.p99_seconds = entry.NumberOr("p99_seconds", 0.0);
       stats.latencies.push_back(std::move(l));
-    }
-  }
-  if (const report::JsonValue* workers = body.Find("workers")) {
-    for (const report::JsonValue& entry : workers->AsArray()) {
-      WorkerStatus w;
-      w.index = static_cast<unsigned>(CountOr(entry, "index"));
-      w.state = entry.StringOr("state", "");
-      w.pid = static_cast<long>(entry.NumberOr("pid", -1.0));
-      w.restarts = static_cast<unsigned>(CountOr(entry, "restarts"));
-      w.outstanding = CountOr(entry, "outstanding");
-      w.generation = CountOr(entry, "generation");
-      stats.workers.push_back(std::move(w));
     }
   }
   return stats;

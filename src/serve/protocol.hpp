@@ -7,13 +7,11 @@
 //   {"op":"characterize","il":"il_ps_2_0\n...","quick":true,"priority":0}
 //   {"op":"stats"}
 //   {"op":"drain"}
-//   {"op":"ping","seq":12}            (heartbeat; supervisor -> worker)
-//   {"op":"kill_worker","worker":1}   (chaos testing; supervisor only)
 //
 // Responses stream back as one-line JSON events tagged "event":
 //   accepted  — the submit was admitted; carries the request id.
-//   rejected  — admission refused ("overloaded" / "draining" /
-//               "unavailable"), the figure slug is unknown
+//   rejected  — admission refused ("overloaded" / "draining"), the
+//               figure slug is unknown
 //               ("unknown_figure"), or a characterize kernel failed
 //               intake ("invalid_kernel", with the stable "code" from
 //               kerncap's rejection taxonomy plus a "detail" string);
@@ -30,18 +28,12 @@
 //               BENCH figure document as the "figure_json" string
 //               (byte-identical to the standalone bench binary's file).
 //   error     — terminal failure; carries the message plus a typed
-//               "kind": sweep_failed (the sweep threw),
-//               deadline_exceeded (AMDMB_DEADLINE_MS expired),
-//               worker_lost (the executing worker process died
-//               mid-stream), protocol_error (malformed/oversized
-//               request line).
+//               "kind": sweep_failed (the sweep threw) or
+//               protocol_error (malformed/oversized request line).
 //   stats     — response to a stats request (queue depth, cache hit
-//               rate, per-figure latency percentiles, fleet health).
+//               rate, per-figure latency percentiles).
 //   drained   — response to a drain request once every admitted sweep
 //               has finished.
-//   pong      — heartbeat reply; carries the worker index, the echoed
-//               seq, and the worker's completion/cache counters.
-//   killed    — acknowledgement of a kill_worker chaos request.
 //
 // Serialization reuses the report layer's JSON primitives (JsonEscape /
 // JsonNumber / JsonValue), so the daemon has no second JSON dialect.
@@ -64,8 +56,6 @@ struct Request {
     kCharacterize,
     kStats,
     kDrain,
-    kPing,
-    kKillWorker,
   };
 
   Op op = Op::kStats;
@@ -78,8 +68,6 @@ struct Request {
   /// keys of older clients — are byte-stable.
   bool adaptive = false;
   int priority = 0;    ///< Submit/characterize: higher pops first.
-  std::uint64_t seq = 0;  ///< Ping only: heartbeat sequence number.
-  unsigned worker = 0;    ///< KillWorker only: target worker index.
 };
 
 /// Parses one request line. Throws ConfigError naming what is malformed
@@ -102,20 +90,15 @@ enum class EventType {
   kError,
   kStats,
   kDrained,
-  kPong,
-  kKilled,
 };
 
 std::string_view ToString(EventType type);
 
 /// Typed classification of terminal "error" events. Every submitted
-/// request ends in exactly one of done / rejected / error(kind) — the
-/// exactly-once contract the fleet tests assert.
+/// request ends in exactly one of done / rejected / error(kind).
 enum class ErrorKind {
-  kSweepFailed,       ///< The sweep body threw.
-  kDeadlineExceeded,  ///< The per-request deadline expired.
-  kWorkerLost,        ///< The executing worker died mid-stream.
-  kProtocolError,     ///< Malformed or oversized request line.
+  kSweepFailed,    ///< The sweep body threw.
+  kProtocolError,  ///< Malformed or oversized request line.
 };
 
 std::string_view ToString(ErrorKind kind);
@@ -184,19 +167,6 @@ struct StaticReport {
 
 std::string SerializeStatic(std::uint64_t id, const StaticReport& report);
 
-/// Counters a worker reports with every heartbeat reply (the
-/// supervisor's cluster stats aggregate the last pong of each worker).
-struct PongStats {
-  std::uint64_t completed = 0;
-  std::uint64_t failed = 0;
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
-};
-
-std::string SerializePong(unsigned worker, std::uint64_t seq,
-                          const PongStats& stats);
-std::string SerializeKilled(unsigned worker);
-
 /// Latency summary of one figure's completed requests.
 struct FigureLatency {
   std::string figure;
@@ -206,21 +176,6 @@ struct FigureLatency {
   double p99_seconds = 0.0;
 
   bool operator==(const FigureLatency&) const = default;
-};
-
-/// Health snapshot of one supervised worker process, as reported in
-/// the supervisor's stats event. `state` is the typed worker state
-/// machine rendered via health.hpp's ToString (starting / healthy /
-/// degraded / dead).
-struct WorkerStatus {
-  unsigned index = 0;
-  std::string state;
-  long pid = -1;            ///< -1 while dead / not yet spawned.
-  unsigned restarts = 0;    ///< Times the supervisor respawned the slot.
-  std::uint64_t outstanding = 0;  ///< Routed requests not yet terminal.
-  std::uint64_t generation = 0;   ///< Bumped on every respawn.
-
-  bool operator==(const WorkerStatus&) const = default;
 };
 
 /// The stats-event payload.
@@ -238,8 +193,6 @@ struct ServeStats {
   double cache_hit_rate = 0.0;
   std::size_t cache_size = 0;
   std::vector<FigureLatency> latencies;  ///< Sorted by figure slug.
-  /// Fleet mode only: one entry per worker slot, sorted by index.
-  std::vector<WorkerStatus> workers;
 };
 
 std::string SerializeStats(const ServeStats& stats);

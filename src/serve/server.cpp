@@ -5,9 +5,9 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <exception>
 #include <future>
@@ -18,13 +18,16 @@
 #include "common/status.hpp"
 #include "common/version.hpp"
 #include "exec/kernel_cache.hpp"
-#include "fault/fault.hpp"
 #include "kerncap/characterize.hpp"
 #include "kerncap/static_analysis.hpp"
 #include "report/json_sink.hpp"
 #include "serve/net.hpp"
 
 namespace amdmb::serve {
+
+unsigned DefaultInflight(unsigned pool_width) {
+  return std::clamp(pool_width, 1u, 64u);
+}
 
 Server::Server(ServerConfig config)
     : config_(std::move(config)),
@@ -85,15 +88,6 @@ void Server::RunSession(std::shared_ptr<Session> session) {
         BeginDrain();
         session->WriteLine(SerializeDrained(store_.Completed()));
         break;
-      case Request::Op::kPing:
-        HandlePing(session, request);
-        break;
-      case Request::Op::kKillWorker:
-        // Only the supervisor can kill fleet members.
-        session->WriteLine(SerializeError(
-            0, ErrorKind::kProtocolError,
-            "kill_worker: this daemon does not supervise a fleet"));
-        break;
     }
   }
   if (session->Overflowed()) {
@@ -105,40 +99,6 @@ void Server::RunSession(std::shared_ptr<Session> session) {
             " bytes; closing session"));
     session->Close();
   }
-}
-
-void Server::HandlePing(const std::shared_ptr<Session>& session,
-                        const Request& request) {
-  if (config_.worker_index >= 0) {
-    // Seeded chaos: a worker may be scheduled to crash or hang on this
-    // very heartbeat. The key is supervisor-assigned (slot#seq), so the
-    // schedule is a pure function of the AMDMB_FAULTS seed.
-    if (const fault::FaultInjector* injector = fault::GlobalInjector()) {
-      std::string key = "w";
-      key += std::to_string(config_.worker_index);
-      key += '#';
-      key += std::to_string(request.seq);
-      if (injector->ShouldFail(fault::FaultSite::kWorkerCrash, key)) {
-        std::_Exit(3);  // Hard crash: no drain, no flush, no pong.
-      }
-      if (injector->ShouldFail(fault::FaultSite::kWorkerHang, key)) {
-        // Stop answering heartbeats forever; the supervisor must
-        // declare this worker dead and SIGKILL it.
-        for (;;) std::this_thread::sleep_for(std::chrono::hours(24));
-      }
-    }
-  }
-  PongStats pong;
-  pong.completed = store_.Completed();
-  pong.failed = store_.Failed();
-  const exec::KernelCacheStats cache = exec::KernelCache::Shared().Stats();
-  pong.cache_hits = cache.hits;
-  pong.cache_misses = cache.misses;
-  session->WriteLine(SerializePong(
-      config_.worker_index >= 0
-          ? static_cast<unsigned>(config_.worker_index)
-          : 0,
-      request.seq, pong));
 }
 
 const suite::figures::FigureDef* Server::FindFigure(

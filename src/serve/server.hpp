@@ -40,12 +40,13 @@ struct ServerConfig {
   /// Figure definitions served; null = suite::figures::Registry().
   /// Tests inject a tiny registry with controllable curves here.
   const std::vector<suite::figures::FigureDef>* registry = nullptr;
-  /// Fleet identity: >= 0 when this server is a supervised worker
-  /// process. Worker mode answers heartbeat pings with this index and
-  /// consults the fault injector's worker_crash / worker_hang sites on
-  /// each ping, so seeded kill/hang scenarios are reproducible.
-  int worker_index = -1;
 };
+
+/// Concurrent-sweep bound amdmb_serve uses when neither
+/// AMDMB_SERVE_INFLIGHT nor --inflight is given: one sweep per thread of
+/// the shared sweep pool (`pool_width`, exec::DefaultThreadCount()),
+/// clamped to the [1, 64] range AMDMB_SERVE_INFLIGHT accepts.
+unsigned DefaultInflight(unsigned pool_width);
 
 class Server {
  public:
@@ -85,8 +86,6 @@ class Server {
                     const Request& request);
   void HandleCharacterize(const std::shared_ptr<Session>& session,
                           const Request& request);
-  void HandlePing(const std::shared_ptr<Session>& session,
-                  const Request& request);
   const suite::figures::FigureDef* FindFigure(const std::string& slug) const;
   void RunSweep(const std::shared_ptr<Session>& session, std::uint64_t id,
                 const suite::figures::FigureDef& def, bool quick,

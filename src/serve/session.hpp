@@ -12,8 +12,8 @@
 // the session Overflowed and closes the read side (the caller answers
 // with a typed protocol_error before closing — an unterminated garbage
 // stream can never grow the buffer without limit), and ReadLine takes
-// an optional timeout so heartbeat and deadline loops never block
-// forever on a hung peer.
+// an optional timeout so a caller never has to block forever on a hung
+// peer.
 #pragma once
 
 #include <cstddef>
@@ -66,10 +66,6 @@ class Session {
 
   /// Shuts the socket down (unblocks a ReadLine stuck in recv).
   void Close();
-
-  /// The underlying descriptor (the supervisor snapshots these so a
-  /// forked worker child can close inherited session fds).
-  int fd() const { return fd_; }
 
  private:
   int fd_;

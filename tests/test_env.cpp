@@ -70,13 +70,15 @@ TEST(EnvTest, EmptyStringsCountAsUnset) {
                                   {"AMDMB_THREADS", ""},
                                   {"AMDMB_JSON_DIR", ""},
                                   {"AMDMB_FAULTS", ""},
-                                  {"AMDMB_WATCHDOG", ""}})
+                                  {"AMDMB_WATCHDOG", ""},
+                                  {"AMDMB_SERVE_INFLIGHT", ""}})
                              .Parse();
   EXPECT_FALSE(o.quick);
   EXPECT_FALSE(o.threads.has_value());
   EXPECT_FALSE(o.json_dir.has_value());
   EXPECT_FALSE(o.faults.has_value());
   EXPECT_EQ(o.watchdog_cycles, 0u);
+  EXPECT_FALSE(o.serve_inflight.has_value());
 }
 
 TEST(EnvTest, MalformedKnobsThrowNamingTheVariable) {
@@ -168,7 +170,9 @@ TEST(EnvTest, ServeKnobsDefaultWhenUnset) {
   const env::Options o = FakeEnv({}).Parse();
   EXPECT_FALSE(o.serve_socket.has_value());
   EXPECT_EQ(o.serve_queue, 16u);
-  EXPECT_EQ(o.serve_inflight, 1u);
+  // Unset stays unset: amdmb_serve then sizes inflight from the sweep
+  // pool (serve::DefaultInflight).
+  EXPECT_FALSE(o.serve_inflight.has_value());
   // A queue of zero is legal: admission then only covers in-flight.
   EXPECT_EQ(env::ParseServeQueue("0"), 0u);
   EXPECT_EQ(env::ParseServeQueue("4096"), 4096u);
@@ -195,58 +199,6 @@ TEST(EnvTest, ServeInflightRejectsMalformedValuesNamingTheVariable) {
       FAIL() << "expected ConfigError for '" << bad << "'";
     } catch (const ConfigError& e) {
       EXPECT_NE(std::string(e.what()).find("AMDMB_SERVE_INFLIGHT"),
-                std::string::npos);
-    }
-  }
-}
-
-TEST(EnvTest, FleetKnobsParse) {
-  const env::Options o = FakeEnv({{"AMDMB_WORKERS", "3"},
-                                  {"AMDMB_DEADLINE_MS", "1500"},
-                                  {"AMDMB_HEARTBEAT_MS", "50"}})
-                             .Parse();
-  EXPECT_EQ(o.workers, 3u);
-  EXPECT_EQ(o.deadline_ms, 1500u);
-  EXPECT_EQ(o.heartbeat_ms, 50u);
-}
-
-TEST(EnvTest, FleetKnobsDefaultWhenUnset) {
-  const env::Options o = FakeEnv({}).Parse();
-  EXPECT_EQ(o.workers, 0u);  // Single-process daemon by default.
-  EXPECT_EQ(o.deadline_ms, 0u);  // No per-request deadline.
-  EXPECT_EQ(o.heartbeat_ms, 250u);
-  EXPECT_EQ(env::ParseWorkerCount("0"), 0u);
-  EXPECT_EQ(env::ParseWorkerCount("32"), 32u);
-  EXPECT_EQ(env::ParseDeadlineMs("0"), 0u);
-  EXPECT_EQ(env::ParseHeartbeatMs("10"), 10u);
-  EXPECT_EQ(env::ParseHeartbeatMs("60000"), 60000u);
-}
-
-TEST(EnvTest, FleetKnobsRejectMalformedValuesNamingTheVariable) {
-  for (const char* bad : {"abc", "-1", "33", "2x", "1.5"}) {
-    try {
-      FakeEnv({{"AMDMB_WORKERS", bad}}).Parse();
-      FAIL() << "expected ConfigError for '" << bad << "'";
-    } catch (const ConfigError& e) {
-      EXPECT_NE(std::string(e.what()).find("AMDMB_WORKERS"),
-                std::string::npos);
-    }
-  }
-  for (const char* bad : {"abc", "-5", "9x", "0.5"}) {
-    try {
-      FakeEnv({{"AMDMB_DEADLINE_MS", bad}}).Parse();
-      FAIL() << "expected ConfigError for '" << bad << "'";
-    } catch (const ConfigError& e) {
-      EXPECT_NE(std::string(e.what()).find("AMDMB_DEADLINE_MS"),
-                std::string::npos);
-    }
-  }
-  for (const char* bad : {"abc", "0", "9", "60001", "-1", "5x"}) {
-    try {
-      FakeEnv({{"AMDMB_HEARTBEAT_MS", bad}}).Parse();
-      FAIL() << "expected ConfigError for '" << bad << "'";
-    } catch (const ConfigError& e) {
-      EXPECT_NE(std::string(e.what()).find("AMDMB_HEARTBEAT_MS"),
                 std::string::npos);
     }
   }

@@ -42,35 +42,10 @@ TEST(FaultSpecTest, AcceptsEqualsSeparatorAndReadback) {
   EXPECT_EQ(spec.seed, 0u);
 }
 
-TEST(FaultSpecTest, ParsesFleetWorkerSites) {
-  const FaultSpec spec =
-      FaultSpec::Parse("worker_crash:0.02,worker_hang=0.01,seed=7");
-  EXPECT_DOUBLE_EQ(spec.worker_crash, 0.02);
-  EXPECT_DOUBLE_EQ(spec.worker_hang, 0.01);
-  EXPECT_TRUE(spec.AnyEnabled());
-  EXPECT_DOUBLE_EQ(spec.Probability(FaultSite::kWorkerCrash), 0.02);
-  EXPECT_DOUBLE_EQ(spec.Probability(FaultSite::kWorkerHang), 0.01);
-  EXPECT_EQ(ToString(FaultSite::kWorkerCrash), "worker_crash");
-  EXPECT_EQ(ToString(FaultSite::kWorkerHang), "worker_hang");
-  // The heartbeat schedule is per-site: the same key draws independent
-  // decisions for crash and hang, and stays deterministic per seed.
-  FaultSpec both;
-  both.worker_crash = 0.5;
-  both.worker_hang = 0.5;
-  both.seed = 11;
-  const FaultInjector a(both);
-  const FaultInjector b(both);
-  for (int i = 0; i < 64; ++i) {
-    const std::string key = "w1#" + std::to_string(i);
-    EXPECT_EQ(a.ShouldFail(FaultSite::kWorkerCrash, key),
-              b.ShouldFail(FaultSite::kWorkerCrash, key));
-    EXPECT_EQ(a.ShouldFail(FaultSite::kWorkerHang, key),
-              b.ShouldFail(FaultSite::kWorkerHang, key));
-  }
-}
-
 TEST(FaultSpecTest, RejectsMalformedSpecs) {
   EXPECT_THROW(FaultSpec::Parse("warp:0.1"), ConfigError);
+  // Only the four CAL-boundary sites exist.
+  EXPECT_THROW(FaultSpec::Parse("worker_crash:0.1"), ConfigError);
   EXPECT_THROW(FaultSpec::Parse("launch:1.5"), ConfigError);
   EXPECT_THROW(FaultSpec::Parse("launch:-0.1"), ConfigError);
   EXPECT_THROW(FaultSpec::Parse("launch"), ConfigError);

@@ -2,9 +2,7 @@
 // lookups, the bounded FIFO-with-priority scheduler, the daemon end to
 // end over a real Unix-domain socket (byte-compatibility with the
 // standalone bench output, kernel-cache reuse, deterministic overload
-// and drain rejections, and event-stream determinism across runs), and
-// the supervised worker fleet (health state machine, consistent-hash
-// routing, deadlines, failover, seeded crash/hang chaos).
+// and drain rejections, and event-stream determinism across runs).
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -12,7 +10,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -27,20 +24,16 @@
 
 #include "adapt/refiner.hpp"
 #include "common/status.hpp"
-#include "fault/fault.hpp"
 #include "kerncap/characterize.hpp"
 #include "kerncap/intake.hpp"
 #include "report/json_sink.hpp"
 #include "serve/client.hpp"
-#include "serve/health.hpp"
 #include "serve/net.hpp"
 #include "serve/protocol.hpp"
 #include "serve/result_store.hpp"
-#include "serve/routing.hpp"
 #include "serve/scheduler.hpp"
 #include "serve/server.hpp"
 #include "serve/session.hpp"
-#include "serve/supervisor.hpp"
 #include "suite/figures.hpp"
 
 namespace amdmb::serve {
@@ -170,46 +163,7 @@ TEST(ServeProtocol, RefineEventRoundTrips) {
 
 TEST(ServeProtocol, NamesEveryErrorKind) {
   EXPECT_EQ(ToString(ErrorKind::kSweepFailed), "sweep_failed");
-  EXPECT_EQ(ToString(ErrorKind::kDeadlineExceeded), "deadline_exceeded");
-  EXPECT_EQ(ToString(ErrorKind::kWorkerLost), "worker_lost");
   EXPECT_EQ(ToString(ErrorKind::kProtocolError), "protocol_error");
-}
-
-TEST(ServeProtocol, PingPongAndKillWorkerRoundTrip) {
-  Request ping;
-  ping.op = Request::Op::kPing;
-  ping.seq = 12;
-  const Request ping_back = ParseRequest(SerializeRequest(ping));
-  EXPECT_EQ(ping_back.op, Request::Op::kPing);
-  EXPECT_EQ(ping_back.seq, 12u);
-  EXPECT_THROW(ParseRequest(R"({"op":"ping","seq":-1})"), ConfigError);
-
-  Request kill;
-  kill.op = Request::Op::kKillWorker;
-  kill.worker = 3;
-  const Request kill_back = ParseRequest(SerializeRequest(kill));
-  EXPECT_EQ(kill_back.op, Request::Op::kKillWorker);
-  EXPECT_EQ(kill_back.worker, 3u);
-  // A kill without a target index has nobody to kill.
-  EXPECT_THROW(ParseRequest(R"({"op":"kill_worker"})"), ConfigError);
-
-  PongStats pong;
-  pong.completed = 5;
-  pong.failed = 1;
-  pong.cache_hits = 10;
-  pong.cache_misses = 4;
-  Event e = ParseEvent(SerializePong(2, 12, pong));
-  EXPECT_EQ(e.type, EventType::kPong);
-  EXPECT_EQ(e.body.NumberOr("worker", -1.0), 2.0);
-  EXPECT_EQ(e.body.NumberOr("seq", -1.0), 12.0);
-  EXPECT_EQ(e.body.NumberOr("completed", -1.0), 5.0);
-  EXPECT_EQ(e.body.NumberOr("failed", -1.0), 1.0);
-  EXPECT_EQ(e.body.NumberOr("cache_hits", -1.0), 10.0);
-  EXPECT_EQ(e.body.NumberOr("cache_misses", -1.0), 4.0);
-
-  e = ParseEvent(SerializeKilled(1));
-  EXPECT_EQ(e.type, EventType::kKilled);
-  EXPECT_EQ(e.body.NumberOr("worker", -1.0), 1.0);
 }
 
 TEST(ServeProtocol, ParseEventRejectsUnknownTags) {
@@ -234,7 +188,6 @@ TEST(ServeProtocol, StatsRoundTripPreservesEveryField) {
   stats.cache_size = 32;
   stats.latencies = {{"fig_11", 4, 0.5, 0.9, 0.99}, {"fig_7", 6, 1.5, 2.0,
                                                      2.5}};
-  stats.workers = {{0, "healthy", 4242, 0, 2, 1}, {1, "dead", -1, 3, 0, 4}};
   const Event event = ParseEvent(SerializeStats(stats));
   ASSERT_EQ(event.type, EventType::kStats);
   const ServeStats back = ParseStats(event.body);
@@ -251,14 +204,6 @@ TEST(ServeProtocol, StatsRoundTripPreservesEveryField) {
   EXPECT_DOUBLE_EQ(back.cache_hit_rate, stats.cache_hit_rate);
   EXPECT_EQ(back.cache_size, stats.cache_size);
   EXPECT_EQ(back.latencies, stats.latencies);
-  EXPECT_EQ(back.workers, stats.workers);
-  // A single-process daemon emits no workers array at all, and the
-  // parse maps that back to an empty vector.
-  ServeStats solo;
-  solo.version = "v";
-  EXPECT_EQ(SerializeStats(solo).find("\"workers\""), std::string::npos);
-  EXPECT_TRUE(
-      ParseStats(ParseEvent(SerializeStats(solo)).body).workers.empty());
 }
 
 // ---------------------------------------------------------------- registry
@@ -402,116 +347,6 @@ TEST(SchedulerTest, AssignsMonotonicRequestIds) {
   EXPECT_LT(b.id, c.id);
   release.set_value();
   scheduler.Shutdown();
-}
-
-// ---------------------------------------------------------- worker health
-
-TEST(WorkerHealth, NamesEveryState) {
-  EXPECT_EQ(ToString(WorkerState::kStarting), "starting");
-  EXPECT_EQ(ToString(WorkerState::kHealthy), "healthy");
-  EXPECT_EQ(ToString(WorkerState::kDegraded), "degraded");
-  EXPECT_EQ(ToString(WorkerState::kDead), "dead");
-}
-
-TEST(WorkerHealth, LifecycleTransitions) {
-  HealthPolicy policy;
-  policy.miss_threshold = 3;
-  HealthTracker tracker(policy);
-  EXPECT_EQ(tracker.state(), WorkerState::kDead);  // Never spawned.
-  tracker.OnSpawned();
-  EXPECT_EQ(tracker.state(), WorkerState::kStarting);
-  EXPECT_EQ(tracker.restarts(), 0u);  // The first spawn is not a restart.
-  tracker.OnPong();
-  EXPECT_EQ(tracker.state(), WorkerState::kHealthy);
-  EXPECT_FALSE(tracker.OnMiss());
-  EXPECT_EQ(tracker.state(), WorkerState::kDegraded);
-  tracker.OnPong();  // One pong fully recovers the slot.
-  EXPECT_EQ(tracker.state(), WorkerState::kHealthy);
-  EXPECT_EQ(tracker.misses(), 0u);
-  EXPECT_FALSE(tracker.OnMiss());
-  EXPECT_FALSE(tracker.OnMiss());
-  EXPECT_TRUE(tracker.OnMiss());  // The third consecutive miss kills it.
-  EXPECT_EQ(tracker.state(), WorkerState::kDead);
-  tracker.OnSpawned();
-  EXPECT_EQ(tracker.state(), WorkerState::kStarting);
-  EXPECT_EQ(tracker.restarts(), 1u);
-  tracker.OnExit();  // A reaped process is dead regardless of misses.
-  EXPECT_EQ(tracker.state(), WorkerState::kDead);
-}
-
-TEST(WorkerHealth, StartingWorkersGetDoubleMissGrace) {
-  HealthPolicy policy;
-  policy.miss_threshold = 2;
-  HealthTracker tracker(policy);
-  tracker.OnSpawned();
-  // A worker still binding its socket has answered nothing yet: it
-  // survives miss_threshold * 2 - 1 misses and dies on the next.
-  EXPECT_FALSE(tracker.OnMiss());
-  EXPECT_FALSE(tracker.OnMiss());
-  EXPECT_FALSE(tracker.OnMiss());
-  EXPECT_EQ(tracker.state(), WorkerState::kStarting);
-  EXPECT_TRUE(tracker.OnMiss());
-  EXPECT_EQ(tracker.state(), WorkerState::kDead);
-  EXPECT_FALSE(tracker.OnMiss());  // Dead stays dead without a spawn.
-}
-
-TEST(WorkerHealth, RestartBackoffIsCappedExponentialWithoutJitter) {
-  HealthPolicy policy;
-  policy.backoff_base_ms = 50.0;
-  policy.backoff_cap_ms = 2000.0;
-  EXPECT_DOUBLE_EQ(RestartBackoffMs(policy, 1), 50.0);
-  EXPECT_DOUBLE_EQ(RestartBackoffMs(policy, 2), 100.0);
-  EXPECT_DOUBLE_EQ(RestartBackoffMs(policy, 3), 200.0);
-  EXPECT_DOUBLE_EQ(RestartBackoffMs(policy, 6), 1600.0);
-  EXPECT_DOUBLE_EQ(RestartBackoffMs(policy, 7), 2000.0);  // Capped.
-  EXPECT_DOUBLE_EQ(RestartBackoffMs(policy, 30), 2000.0);
-  // No jitter: the delay is a pure function of the restart count, so a
-  // seeded kill schedule replays the identical recovery timeline.
-  EXPECT_DOUBLE_EQ(RestartBackoffMs(policy, 5), RestartBackoffMs(policy, 5));
-}
-
-// ---------------------------------------------------------------- routing
-
-TEST(ServeRouting, RoutingIsDeterministicAndCoversEverySlot) {
-  const HashRing a(3);
-  const HashRing b(3);
-  std::vector<unsigned> hits(3, 0);
-  for (int i = 0; i < 64; ++i) {
-    const std::string key = "fig_" + std::to_string(i);
-    const std::optional<unsigned> ra = a.Route(key);
-    ASSERT_TRUE(ra.has_value());
-    EXPECT_EQ(ra, b.Route(key));  // Pure function of (workers, key).
-    ++hits[*ra];
-  }
-  for (unsigned slot = 0; slot < 3; ++slot) {
-    EXPECT_GT(hits[slot], 0u) << "slot " << slot << " never routed";
-  }
-}
-
-TEST(ServeRouting, DeadWorkerMovesOnlyItsOwnKeys) {
-  const HashRing ring(4);
-  const std::vector<bool> all(4, true);
-  std::vector<bool> without2(4, true);
-  without2[2] = false;
-  for (int i = 0; i < 64; ++i) {
-    const std::string key = "fig_" + std::to_string(i);
-    const unsigned before = *ring.Route(key, all);
-    const unsigned after = *ring.Route(key, without2);
-    if (before != 2) {
-      EXPECT_EQ(after, before) << key;  // Survivors keep their caches hot.
-    } else {
-      EXPECT_NE(after, 2u) << key;  // The dead slot's keys move on.
-    }
-  }
-}
-
-TEST(ServeRouting, NoEligibleSlotRoutesNowhere) {
-  const HashRing ring(3);
-  EXPECT_FALSE(ring.Route("fig_7", {false, false, false}).has_value());
-  const std::optional<unsigned> only = ring.Route("fig_7",
-                                                  {false, true, false});
-  ASSERT_TRUE(only.has_value());
-  EXPECT_EQ(*only, 1u);
 }
 
 // ------------------------------------------------------------ result store
@@ -947,6 +782,14 @@ TEST(ServeServer, LoadGeneratorIsDeterministicAndCompletes) {
   server.Drain();
 }
 
+TEST(ServeServer, DefaultInflightIsThePoolWidthClampedTo1Through64) {
+  EXPECT_EQ(DefaultInflight(0), 1u);
+  EXPECT_EQ(DefaultInflight(1), 1u);
+  EXPECT_EQ(DefaultInflight(4), 4u);
+  EXPECT_EQ(DefaultInflight(64), 64u);
+  EXPECT_EQ(DefaultInflight(4096), 64u);
+}
+
 TEST(ServeClient, ConnectToMissingSocketIsATypedError) {
   EXPECT_THROW(Client::Connect(TestSocketPath("nobody_listens")),
                ConfigError);
@@ -968,25 +811,6 @@ TEST(ServeClient, ConnectRetriesRideOutALateBindingDaemon) {
   Client client = Client::Connect(config.socket_path, /*retries=*/8);
   starter.join();
   EXPECT_EQ(client.Submit("fig_91", true, 0).type, EventType::kDone);
-  server.Drain();
-}
-
-TEST(ServeClient, KillWorkerAgainstSingleProcessDaemonIsATypedError) {
-  TestRegistry registry;
-  registry.release->set_value();
-  ServerConfig config;
-  config.socket_path = TestSocketPath("kill_solo");
-  config.registry = &registry.defs;
-  Server server(config);
-  server.Start();
-  Client client = Client::Connect(config.socket_path);
-  try {
-    client.KillWorker(0);
-    FAIL() << "expected ConfigError";
-  } catch (const ConfigError& e) {
-    EXPECT_NE(std::string(e.what()).find("does not supervise"),
-              std::string::npos);
-  }
   server.Drain();
 }
 
@@ -1045,24 +869,37 @@ TEST(ServeServer, MalformedRequestLineGetsTypedProtocolError) {
   const int fd = ConnectUnixSocket(config.socket_path);
   ASSERT_GE(fd, 0);
   Session raw(fd);
-  ASSERT_TRUE(raw.WriteLine("this is not json"));
-  std::string line;
-  ASSERT_EQ(raw.ReadLine(&line, 5000), ReadStatus::kLine);
-  const Event error = ParseEvent(line);
-  ASSERT_EQ(error.type, EventType::kError);
-  EXPECT_EQ(error.body.StringOr("kind", ""), "protocol_error");
-  // One garbage line does not poison the session.
-  ASSERT_TRUE(raw.WriteLine(R"({"op":"stats"})"));
-  ASSERT_EQ(raw.ReadLine(&line, 5000), ReadStatus::kLine);
-  EXPECT_EQ(ParseEvent(line).type, EventType::kStats);
+  // Garbage, and ops the protocol does not define.
+  for (const char* bad :
+       {"this is not json", R"({"op":"ping","seq":1})",
+        R"({"op":"kill_worker","worker":0})"}) {
+    SCOPED_TRACE(bad);
+    ASSERT_TRUE(raw.WriteLine(bad));
+    std::string line;
+    ASSERT_EQ(raw.ReadLine(&line, 5000), ReadStatus::kLine);
+    const Event error = ParseEvent(line);
+    ASSERT_EQ(error.type, EventType::kError);
+    EXPECT_EQ(error.body.StringOr("kind", ""), "protocol_error");
+    // One bad line does not poison the session.
+    ASSERT_TRUE(raw.WriteLine(R"({"op":"stats"})"));
+    ASSERT_EQ(raw.ReadLine(&line, 5000), ReadStatus::kLine);
+    EXPECT_EQ(ParseEvent(line).type, EventType::kStats);
+  }
   server.Drain();
 }
 
-/// Sends one ~2 MB request line of '[' (a nesting bomb for a recursive
-/// JSON parser) and asserts the daemon answers with a typed
-/// protocol_error and then still answers stats on the same connection.
-void ExpectNestingBombRejected(const std::string& socket_path) {
-  const int fd = ConnectUnixSocket(socket_path);
+TEST(ServeServer, DeeplyNestedRequestGetsTypedProtocolError) {
+  TestRegistry registry;
+  registry.release->set_value();
+  ServerConfig config;
+  config.socket_path = TestSocketPath("nesting");
+  config.registry = &registry.defs;
+  Server server(config);
+  server.Start();
+  // One ~2 MB request line of '[' (a nesting bomb for a recursive JSON
+  // parser) gets a typed protocol_error, and the daemon still answers
+  // stats on the same connection.
+  const int fd = ConnectUnixSocket(config.socket_path);
   ASSERT_GE(fd, 0);
   Session raw(fd);
   ASSERT_TRUE(raw.WriteLine(std::string(2u << 20, '[')));
@@ -1076,17 +913,6 @@ void ExpectNestingBombRejected(const std::string& socket_path) {
   ASSERT_TRUE(raw.WriteLine(R"({"op":"stats"})"));
   ASSERT_EQ(raw.ReadLine(&line, 30000), ReadStatus::kLine);
   EXPECT_EQ(ParseEvent(line).type, EventType::kStats);
-}
-
-TEST(ServeServer, DeeplyNestedRequestGetsTypedProtocolError) {
-  TestRegistry registry;
-  registry.release->set_value();
-  ServerConfig config;
-  config.socket_path = TestSocketPath("nesting");
-  config.registry = &registry.defs;
-  Server server(config);
-  server.Start();
-  ExpectNestingBombRejected(config.socket_path);
   server.Drain();
 }
 
@@ -1157,578 +983,6 @@ TEST(ServeServer, DrainWaitsForInFlightSweeps) {
   server.Drain();
 }
 
-// -------------------------------------------------------------- fleet e2e
-
-/// Cross-process gating for fleet tests: a forked worker cannot share an
-/// in-memory promise with the test, so gated curves poll for a marker
-/// file instead. Bounded, so an orphaned worker can never hang a drain
-/// forever.
-bool WaitForFile(const std::string& path, int timeout_ms) {
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(timeout_ms);
-  while (std::chrono::steady_clock::now() < deadline) {
-    if (::access(path.c_str(), F_OK) == 0) return true;
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  return false;
-}
-
-void TouchFile(const std::string& path) {
-  std::FILE* file = std::fopen(path.c_str(), "w");
-  Require(file != nullptr, "TouchFile: fopen(" + path + ") failed");
-  std::fclose(file);
-}
-
-std::string TestGatePath(const char* name) {
-  std::ostringstream os;
-  os << ::testing::TempDir() << "amdmb_gate_" << ::getpid() << "_" << name;
-  return os.str();
-}
-
-/// Figures for the fleet tests:
-///   fig_94 — instant single curve (routing / stats / chaos fodder).
-///   fig_95 — one gated curve: streams nothing until the gate file
-///            exists, so losing its worker early is failover-eligible
-///            (zero sweep events forwarded).
-///   fig_96 — an instant curve then a gated one: the request has
-///            streamed by the time it blocks, so losing its worker is a
-///            terminal worker_lost.
-struct FleetRegistry {
-  std::vector<FigureDef> defs;
-
-  explicit FleetRegistry(const std::string& gate_path) {
-    const auto make = [](const char* slug, const char* prefix,
-                         const char* id) {
-      FigureDef def;
-      def.slug = slug;
-      def.bench_prefix = prefix;
-      def.id = id;
-      def.title = id;
-      def.x_label = "x";
-      def.y_label = "y";
-      def.paper_claim = "none";
-      def.what = "fleet test fixture";
-      return def;
-    };
-    FigureDef instant = make("fig_94", "Fig94", "Fig. 94 — Fleet Instant");
-    instant.curves.push_back(
-        {"alpha", [](report::Figure& figure, const RunOptions&) {
-           figure.set.Get("alpha").Add(1.0, 10.0);
-           return 10.0;
-         }});
-    defs.push_back(std::move(instant));
-
-    FigureDef gated = make("fig_95", "Fig95", "Fig. 95 — Fleet Gated");
-    gated.curves.push_back(
-        {"wait", [gate_path](report::Figure& figure, const RunOptions&) {
-           if (!WaitForFile(gate_path, 30000)) {
-             throw ConfigError("fleet gate file never appeared");
-           }
-           figure.set.Get("wait").Add(1.0, 1.0);
-           return 1.0;
-         }});
-    defs.push_back(std::move(gated));
-
-    FigureDef streaming = make("fig_96", "Fig96", "Fig. 96 — Fleet Stream");
-    streaming.curves.push_back(
-        {"head", [](report::Figure& figure, const RunOptions&) {
-           figure.set.Get("head").Add(1.0, 2.0);
-           return 2.0;
-         }});
-    streaming.curves.push_back(
-        {"tail", [gate_path](report::Figure& figure, const RunOptions&) {
-           if (!WaitForFile(gate_path, 30000)) {
-             throw ConfigError("fleet gate file never appeared");
-           }
-           figure.set.Get("tail").Add(1.0, 3.0);
-           return 3.0;
-         }});
-    defs.push_back(std::move(streaming));
-  }
-};
-
-SupervisorConfig FleetConfig(const char* tag, const FleetRegistry& registry,
-                             unsigned workers) {
-  SupervisorConfig config;
-  config.socket_path = TestSocketPath(tag);
-  config.workers = workers;
-  config.registry = &registry.defs;
-  config.health.heartbeat_ms = 50;
-  config.health.miss_threshold = 3;
-  config.health.backoff_base_ms = 10.0;
-  config.health.backoff_cap_ms = 50.0;
-  return config;
-}
-
-/// Polls the daemon's stats until `pred` holds or the budget expires;
-/// returns the last snapshot either way (the test's own EXPECTs then
-/// produce the real failure message).
-ServeStats AwaitStats(Client& client,
-                      const std::function<bool(const ServeStats&)>& pred,
-                      int timeout_ms = 15000) {
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(timeout_ms);
-  ServeStats stats = client.Stats();
-  while (!pred(stats) && std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    stats = client.Stats();
-  }
-  return stats;
-}
-
-bool AllWorkersHealthy(const ServeStats& stats, unsigned workers) {
-  if (stats.workers.size() != workers) return false;
-  for (const WorkerStatus& worker : stats.workers) {
-    if (worker.state != "healthy") return false;
-  }
-  return true;
-}
-
-TEST(ServeFleet, ServesAcrossWorkersAndAggregatesStats) {
-  FleetRegistry registry(TestGatePath("fleet_stats"));  // Gate unused.
-  SupervisorConfig config = FleetConfig("fleet_stats", registry, 2);
-  config.worker_queue = 4;
-  Supervisor supervisor(config);
-  supervisor.Start();
-  Client client = Client::Connect(config.socket_path);
-  const ServeStats healthy = AwaitStats(client, [](const ServeStats& s) {
-    return AllWorkersHealthy(s, 2);
-  });
-  ASSERT_TRUE(AllWorkersHealthy(healthy, 2));
-  for (int i = 0; i < 3; ++i) {
-    EXPECT_EQ(client.Submit("fig_94", true, 0).type, EventType::kDone);
-  }
-  const ServeStats stats = client.Stats();
-  EXPECT_FALSE(stats.version.empty());
-  EXPECT_EQ(stats.completed, 3u);
-  EXPECT_EQ(stats.failed, 0u);
-  EXPECT_EQ(stats.max_queue, 8u);     // worker_queue x workers.
-  EXPECT_EQ(stats.max_inflight, 2u);  // worker_inflight x workers.
-  ASSERT_EQ(stats.workers.size(), 2u);
-  for (unsigned i = 0; i < 2; ++i) {
-    EXPECT_EQ(stats.workers[i].index, i);
-    EXPECT_GT(stats.workers[i].pid, 0);
-    EXPECT_EQ(stats.workers[i].outstanding, 0u);
-    EXPECT_GE(stats.workers[i].generation, 1u);
-  }
-  ASSERT_EQ(stats.latencies.size(), 1u);
-  EXPECT_EQ(stats.latencies[0].figure, "fig_94");
-  EXPECT_EQ(stats.latencies[0].count, 3u);
-  supervisor.Drain();
-}
-
-TEST(ServeFleet, DeadlineExpiryYieldsTypedDeadlineExceeded) {
-  const std::string gate = TestGatePath("fleet_deadline");
-  ::unlink(gate.c_str());
-  FleetRegistry registry(gate);
-  SupervisorConfig config = FleetConfig("fleet_deadline", registry, 2);
-  config.deadline_ms = 150;
-  Supervisor supervisor(config);
-  supervisor.Start();
-  Client client = Client::Connect(config.socket_path);
-  AwaitStats(client, [](const ServeStats& s) {
-    return AllWorkersHealthy(s, 2);
-  });
-  const Event terminal = client.Submit("fig_95", true, 0);
-  ASSERT_EQ(terminal.type, EventType::kError);
-  EXPECT_EQ(terminal.body.StringOr("kind", ""), "deadline_exceeded");
-  EXPECT_NE(terminal.body.StringOr("message", "").find("150"),
-            std::string::npos);
-  const ServeStats stats = client.Stats();
-  EXPECT_EQ(stats.failed, 1u);
-  EXPECT_EQ(stats.completed, 0u);
-  TouchFile(gate);  // Unblock the abandoned sweep so the drain is fast.
-  supervisor.Drain();
-  ::unlink(gate.c_str());
-}
-
-TEST(ServeFleet, WorkerLossBeforeStreamingFailsOverToAnotherWorker) {
-  const std::string gate = TestGatePath("fleet_failover");
-  ::unlink(gate.c_str());
-  FleetRegistry registry(gate);
-  SupervisorConfig config = FleetConfig("fleet_failover", registry, 3);
-  Supervisor supervisor(config);
-  supervisor.Start();
-  Client control = Client::Connect(config.socket_path);
-  AwaitStats(control, [](const ServeStats& s) {
-    return AllWorkersHealthy(s, 3);
-  });
-  // The supervisor routes by consistent hash on the normalized slug;
-  // compute the doomed worker the same way it does.
-  const unsigned target =
-      *HashRing(config.workers).Route(NormalizeSlug("fig_95"));
-
-  Client submitter = Client::Connect(config.socket_path);
-  std::vector<Event> events;
-  std::promise<void> accepted;
-  std::thread submit_thread([&] {
-    const Event terminal = submitter.Submit(
-        "fig_95", true, 0, [&](const Event& event) {
-          events.push_back(event);
-          if (event.type == EventType::kAccepted) accepted.set_value();
-        });
-    events.push_back(terminal);
-  });
-  accepted.get_future().wait();  // Routed and accepted; nothing streamed.
-  control.KillWorker(target);
-  // The failover worker picks the request up and blocks on the same
-  // gate; release it now that the target is gone.
-  TouchFile(gate);
-  submit_thread.join();
-  ASSERT_FALSE(events.empty());
-  EXPECT_EQ(events.back().type, EventType::kDone);
-  // Exactly-once to the client: a single accepted despite the retry.
-  EXPECT_EQ(std::count_if(events.begin(), events.end(),
-                          [](const Event& event) {
-                            return event.type == EventType::kAccepted;
-                          }),
-            1);
-  // The health loop reaps the corpse and respawns the slot.
-  const ServeStats stats = AwaitStats(control, [&](const ServeStats& s) {
-    return s.workers.size() == 3 && s.workers[target].restarts >= 1 &&
-           s.workers[target].state == "healthy";
-  });
-  ASSERT_EQ(stats.workers.size(), 3u);
-  EXPECT_GE(stats.workers[target].restarts, 1u);
-  EXPECT_GE(stats.workers[target].generation, 2u);
-  supervisor.Drain();
-  ::unlink(gate.c_str());
-}
-
-TEST(ServeFleet, WorkerLossMidStreamIsTypedWorkerLost) {
-  const std::string gate = TestGatePath("fleet_lost");
-  ::unlink(gate.c_str());
-  FleetRegistry registry(gate);
-  SupervisorConfig config = FleetConfig("fleet_lost", registry, 2);
-  Supervisor supervisor(config);
-  supervisor.Start();
-  Client control = Client::Connect(config.socket_path);
-  AwaitStats(control, [](const ServeStats& s) {
-    return AllWorkersHealthy(s, 2);
-  });
-  const unsigned target =
-      *HashRing(config.workers).Route(NormalizeSlug("fig_96"));
-
-  Client submitter = Client::Connect(config.socket_path);
-  Event terminal;
-  std::promise<void> streamed;
-  std::once_flag streamed_once;
-  std::thread submit_thread([&] {
-    terminal = submitter.Submit(
-        "fig_96", true, 0, [&](const Event& event) {
-          if (event.type == EventType::kPoint) {
-            std::call_once(streamed_once, [&] { streamed.set_value(); });
-          }
-        });
-  });
-  streamed.get_future().wait();  // The head curve streamed; tail blocks.
-  control.KillWorker(target);
-  submit_thread.join();
-  // Re-running could double-report the already-streamed points, so the
-  // request must terminate as worker_lost instead of failing over.
-  ASSERT_EQ(terminal.type, EventType::kError);
-  EXPECT_EQ(terminal.body.StringOr("kind", ""), "worker_lost");
-  EXPECT_NE(terminal.body.StringOr("message", "")
-                .find(std::to_string(target)),
-            std::string::npos);
-  EXPECT_GE(control.Stats().failed, 1u);
-  supervisor.Drain();
-  ::unlink(gate.c_str());
-}
-
-TEST(ServeFleet, BackpressureVerdictIsOverloadedWhenWorkersAreFull) {
-  const std::string gate = TestGatePath("fleet_busy");
-  ::unlink(gate.c_str());
-  FleetRegistry registry(gate);
-  SupervisorConfig config = FleetConfig("fleet_busy", registry, 1);
-  config.worker_queue = 0;
-  config.worker_inflight = 1;  // Cluster capacity: exactly one request.
-  Supervisor supervisor(config);
-  supervisor.Start();
-  Client control = Client::Connect(config.socket_path);
-  AwaitStats(control, [](const ServeStats& s) {
-    return AllWorkersHealthy(s, 1);
-  });
-
-  Client first = Client::Connect(config.socket_path);
-  std::promise<void> accepted;
-  std::thread first_thread([&] {
-    const Event done = first.Submit(
-        "fig_95", true, 0, [&](const Event& event) {
-          if (event.type == EventType::kAccepted) accepted.set_value();
-        });
-    EXPECT_EQ(done.type, EventType::kDone);
-  });
-  accepted.get_future().wait();  // The one slot is occupied and gated.
-
-  Client second = Client::Connect(config.socket_path);
-  const Event rejected = second.Submit("fig_95", true, 0);
-  ASSERT_EQ(rejected.type, EventType::kRejected);
-  EXPECT_EQ(rejected.body.StringOr("reason", ""), "overloaded");
-
-  TouchFile(gate);
-  first_thread.join();
-  EXPECT_EQ(control.Stats().rejected, 1u);
-  supervisor.Drain();
-  ::unlink(gate.c_str());
-}
-
-TEST(ServeFleet, NoLiveWorkerYieldsUnavailable) {
-  FleetRegistry registry(TestGatePath("fleet_down"));  // Gate unused.
-  SupervisorConfig config = FleetConfig("fleet_down", registry, 1);
-  config.health.backoff_base_ms = 60000.0;  // No respawn within the test.
-  config.health.backoff_cap_ms = 60000.0;
-  Supervisor supervisor(config);
-  supervisor.Start();
-  Client client = Client::Connect(config.socket_path);
-  AwaitStats(client, [](const ServeStats& s) {
-    return AllWorkersHealthy(s, 1);
-  });
-  client.KillWorker(0);
-  // Wait until the health loop has reaped the corpse.
-  const ServeStats stats = AwaitStats(client, [](const ServeStats& s) {
-    return !s.workers.empty() && s.workers[0].state == "dead";
-  });
-  ASSERT_FALSE(stats.workers.empty());
-  EXPECT_EQ(stats.workers[0].state, "dead");
-  EXPECT_EQ(stats.workers[0].pid, -1);
-  const Event rejected = client.Submit("fig_94", true, 0);
-  ASSERT_EQ(rejected.type, EventType::kRejected);
-  EXPECT_EQ(rejected.body.StringOr("reason", ""), "unavailable");
-  supervisor.Drain();
-}
-
-TEST(ServeFleet, KillWorkerValidatesTheIndex) {
-  FleetRegistry registry(TestGatePath("fleet_kill_idx"));  // Gate unused.
-  SupervisorConfig config = FleetConfig("fleet_kill_idx", registry, 2);
-  Supervisor supervisor(config);
-  supervisor.Start();
-  Client client = Client::Connect(config.socket_path);
-  try {
-    client.KillWorker(7);
-    FAIL() << "expected ConfigError";
-  } catch (const ConfigError& e) {
-    EXPECT_NE(std::string(e.what()).find("no worker 7"), std::string::npos);
-  }
-  supervisor.Drain();
-}
-
-TEST(ServeFleet, DeeplyNestedRequestGetsTypedProtocolError) {
-  FleetRegistry registry(TestGatePath("fleet_nesting"));  // Gate unused.
-  SupervisorConfig config = FleetConfig("fleet_nesting", registry, 2);
-  Supervisor supervisor(config);
-  supervisor.Start();
-  ExpectNestingBombRejected(config.socket_path);
-  // The supervisor parsed the bomb itself; its workers are untouched.
-  Client client = Client::Connect(config.socket_path);
-  EXPECT_EQ(client.Submit("fig_94", true, 0).type, EventType::kDone);
-  supervisor.Drain();
-}
-
-TEST(ServeFleet, ChaosLoadGenTerminatesEveryRequestWithATypedOutcome) {
-  FleetRegistry registry(TestGatePath("fleet_chaos"));  // Gate unused.
-  SupervisorConfig config = FleetConfig("fleet_chaos", registry, 2);
-  Supervisor supervisor(config);
-  supervisor.Start();
-  Client control = Client::Connect(config.socket_path);
-  AwaitStats(control, [](const ServeStats& s) {
-    return AllWorkersHealthy(s, 2);
-  });
-
-  LoadGenOptions options;
-  options.socket_path = config.socket_path;
-  options.requests = 8;
-  options.concurrency = 2;
-  options.seed = 7;
-  options.figures = {"fig_94"};
-  options.kill_workers = 1;
-  options.connect_retries = 2;
-  const LoadGenReport report = RunLoadGenerator(options);
-  EXPECT_EQ(report.requests, 8u);
-  EXPECT_EQ(report.kills, 1u);
-  // Exactly-once terminals: nothing lost, nothing counted twice.
-  EXPECT_EQ(report.completed + report.rejected + report.failed,
-            report.requests);
-  EXPECT_GT(report.completed, 0u);
-  EXPECT_GT(report.availability, 0.0);
-  EXPECT_NE(report.Render().find("chaos"), std::string::npos);
-  supervisor.Drain();
-}
-
-/// Searches seeds for a fault schedule in which `site` fires for worker
-/// `target` at exactly one heartbeat seq in [min_seq, max_seq] and for
-/// nobody else anywhere in [1, horizon] — so a chaos test gets exactly
-/// one seeded kill and a quiet fleet otherwise. Deterministic: the
-/// schedule is a pure function of (seed, site, key), so the found seed
-/// replays identically inside the forked workers.
-std::uint64_t FindSoloFaultSeed(fault::FaultSite site, unsigned workers,
-                                unsigned target, std::uint64_t min_seq,
-                                std::uint64_t max_seq, std::uint64_t horizon,
-                                std::uint64_t* fired_seq_out) {
-  constexpr double kProb = 0.002;
-  for (std::uint64_t seed = 1; seed <= 500000; ++seed) {
-    fault::FaultSpec spec;
-    if (site == fault::FaultSite::kWorkerCrash) {
-      spec.worker_crash = kProb;
-    } else {
-      spec.worker_hang = kProb;
-    }
-    spec.seed = seed;
-    const fault::FaultInjector injector(spec);
-    std::uint64_t fired_seq = 0;
-    bool clean = true;
-    for (unsigned w = 0; w < workers && clean; ++w) {
-      for (std::uint64_t s = 1; s <= horizon && clean; ++s) {
-        std::string key = "w";
-        key += std::to_string(w);
-        key += '#';
-        key += std::to_string(s);
-        if (!injector.ShouldFail(site, key)) continue;
-        if (w == target && fired_seq == 0 && s >= min_seq && s <= max_seq) {
-          fired_seq = s;
-        } else {
-          clean = false;
-        }
-      }
-    }
-    if (clean && fired_seq != 0) {
-      *fired_seq_out = fired_seq;
-      return seed;
-    }
-  }
-  throw ConfigError("FindSoloFaultSeed: no seed in the search budget");
-}
-
-TEST(ServeFleet, SeededHangIsDetectedKilledAndRestarted) {
-  std::uint64_t hang_seq = 0;
-  const std::uint64_t seed = FindSoloFaultSeed(
-      fault::FaultSite::kWorkerHang, /*workers=*/1, /*target=*/0,
-      /*min_seq=*/2, /*max_seq=*/8, /*horizon=*/400, &hang_seq);
-  fault::FaultSpec spec;
-  spec.worker_hang = 0.002;
-  spec.seed = seed;
-  fault::ScopedFaultInjector injector(spec);
-
-  FleetRegistry registry(TestGatePath("fleet_hang"));  // Gate unused.
-  SupervisorConfig config = FleetConfig("fleet_hang", registry, 1);
-  config.health.miss_threshold = 2;
-  Supervisor supervisor(config);
-  supervisor.Start();
-  Client client = Client::Connect(config.socket_path);
-  // The worker inherits the injector across fork and stops answering at
-  // heartbeat `hang_seq`; the supervisor must miss, declare it dead,
-  // SIGKILL it, and respawn the slot.
-  const ServeStats stats = AwaitStats(client, [](const ServeStats& s) {
-    return !s.workers.empty() && s.workers[0].restarts >= 1 &&
-           s.workers[0].state == "healthy";
-  });
-  ASSERT_FALSE(stats.workers.empty());
-  EXPECT_GE(stats.workers[0].restarts, 1u);
-  EXPECT_GE(stats.workers[0].generation, 2u);
-  // The respawned worker serves requests again.
-  EXPECT_EQ(client.Submit("fig_94", true, 0).type, EventType::kDone);
-  supervisor.Drain();
-}
-
-TEST(ServeFleet, SeededCrashScenarioIsDeterministicAcrossRuns) {
-  // The acceptance scenario: a three-worker fleet under a seeded fault
-  // schedule that kills exactly one worker while a request is in
-  // flight. The fleet must restart it, every request must end in a
-  // typed terminal event, and the same seed must replay the identical
-  // event sequence across two independent runs.
-  const unsigned kWorkers = 3;
-  const unsigned target = *HashRing(kWorkers).Route(NormalizeSlug("fig_95"));
-  std::uint64_t crash_seq = 0;
-  const std::uint64_t seed = FindSoloFaultSeed(
-      fault::FaultSite::kWorkerCrash, kWorkers, target,
-      /*min_seq=*/4, /*max_seq=*/10, /*horizon=*/400, &crash_seq);
-
-  struct RunResult {
-    std::vector<std::string> projection;
-    std::vector<EventType> terminals;
-    unsigned restarts = 0;
-  };
-  const auto run = [&](const char* tag) {
-    fault::FaultSpec spec;
-    spec.worker_crash = 0.002;
-    spec.seed = seed;
-    fault::ScopedFaultInjector injector(spec);
-    const std::string gate = TestGatePath(tag);
-    ::unlink(gate.c_str());
-    FleetRegistry registry(gate);
-    SupervisorConfig config = FleetConfig(tag, registry, kWorkers);
-    Supervisor supervisor(config);
-    supervisor.Start();
-    Client control = Client::Connect(config.socket_path);
-    AwaitStats(control, [&](const ServeStats& s) {
-      return AllWorkersHealthy(s, kWorkers);
-    });
-    // In flight before the seeded crash: the gated figure routes to the
-    // doomed worker and streams nothing until the gate file exists, so
-    // the crash triggers a clean failover.
-    Client submitter = Client::Connect(config.socket_path);
-    std::vector<Event> gated_events;
-    std::thread submit_thread([&] {
-      const Event terminal = submitter.Submit(
-          "fig_95", true, 0,
-          [&](const Event& event) { gated_events.push_back(event); });
-      gated_events.push_back(terminal);
-    });
-    // The crash fires at heartbeat `crash_seq`; wait out the restart.
-    const ServeStats after = AwaitStats(control, [&](const ServeStats& s) {
-      return s.workers.size() == kWorkers &&
-             s.workers[target].restarts >= 1 &&
-             s.workers[target].state == "healthy";
-    });
-    TouchFile(gate);  // Release the failover worker.
-    submit_thread.join();
-    RunResult result;
-    result.restarts =
-        after.workers.size() == kWorkers ? after.workers[target].restarts
-                                         : 0;
-    EXPECT_EQ(std::count_if(gated_events.begin(), gated_events.end(),
-                            [](const Event& event) {
-                              return event.type == EventType::kAccepted;
-                            }),
-              1);
-    result.terminals.push_back(gated_events.back().type);
-    for (std::string& line : DeterministicProjection(gated_events)) {
-      result.projection.push_back(std::move(line));
-    }
-    // A little follow-up load on the recovered fleet.
-    for (const bool quick : {true, false}) {
-      std::vector<Event> events;
-      const Event terminal = control.Submit(
-          "fig_94", quick, 0,
-          [&](const Event& event) { events.push_back(event); });
-      events.push_back(terminal);
-      result.terminals.push_back(terminal.type);
-      for (std::string& line : DeterministicProjection(events)) {
-        result.projection.push_back(std::move(line));
-      }
-    }
-    supervisor.Drain();
-    ::unlink(gate.c_str());
-    return result;
-  };
-
-  const RunResult a = run("chaos_a");
-  const RunResult b = run("chaos_b");
-  // Every request ended in a typed terminal event — here all done: the
-  // gated request failed over before streaming, the follow-ups ran on a
-  // recovered fleet.
-  for (const EventType type : a.terminals) {
-    EXPECT_EQ(type, EventType::kDone);
-  }
-  EXPECT_EQ(a.terminals.size(), 3u);
-  // The seeded kill really happened and the slot was restarted...
-  EXPECT_GE(a.restarts, 1u);
-  EXPECT_GE(b.restarts, 1u);
-  // ...and the same seed replays the identical event sequence.
-  EXPECT_EQ(a.projection, b.projection);
-}
-
-// ------------------------------------------------------------ characterize
 
 // A pixel kernel that passes intake; one curve per architecture.
 constexpr char kServeIl[] =
@@ -1933,35 +1187,6 @@ TEST(ServeClient, OversizedCharacterizeIsRejectedWithoutConnecting) {
             std::string::npos);
   // A small kernel passes the bound and returns no verdict.
   EXPECT_FALSE(OversizedCharacterize(kServeIl, true, 0).has_value());
-}
-
-TEST(ServeFleet, CharacterizeRoutesThroughWorkersByContentHash) {
-  FleetRegistry registry(TestGatePath("fleet_kerncap"));  // Gate unused.
-  SupervisorConfig config = FleetConfig("fleet_kerncap", registry, 2);
-  Supervisor supervisor(config);
-  supervisor.Start();
-  Client client = Client::Connect(config.socket_path);
-  AwaitStats(client,
-             [](const ServeStats& s) { return AllWorkersHealthy(s, 2); });
-
-  kerncap::AnalyzeResult analysis = kerncap::Analyze(kServeIl);
-  ASSERT_TRUE(analysis.ok());
-  kerncap::CharacterizeOptions options;
-  options.quick = true;
-  const std::string expected = report::BenchJson(
-      kerncap::Characterize(*analysis.prepared, options));
-
-  // The fleet answer is byte-identical to the in-process answer, and a
-  // malformed kernel's verdict forwards through the supervisor intact.
-  const Event done = client.Characterize(kServeIl, true, 0);
-  ASSERT_EQ(done.type, EventType::kDone);
-  EXPECT_EQ(done.body.StringOr("figure_json", ""), expected);
-
-  const Event rejected = client.Characterize("garbage\n", true, 0);
-  ASSERT_EQ(rejected.type, EventType::kRejected);
-  EXPECT_EQ(rejected.body.StringOr("reason", ""), "invalid_kernel");
-  EXPECT_EQ(rejected.body.StringOr("code", ""), "parse_error");
-  supervisor.Drain();
 }
 
 }  // namespace

@@ -19,12 +19,10 @@
 //   drain
 //       Asks the daemon to finish admitted sweeps and shut down.
 //   bench --requests N --concurrency K --seed S [--full]
-//         [--figures a,b,c] [--kill-worker N]
+//         [--figures a,b,c]
 //       Deterministic closed-loop load generator: the request schedule
 //       is a pure function of the seed. Reports throughput and tail
-//       latency. --kill-worker N injects N seeded worker kills during
-//       the run (fleet daemons only) and reports availability plus the
-//       typed worker_lost / deadline_exceeded failure counts.
+//       latency.
 //
 // Every verb accepts --socket PATH (default: AMDMB_SERVE_SOCKET, then
 // /tmp/amdmb_serve.sock) and --connect-retries R (capped-backoff
@@ -59,7 +57,7 @@ int Usage(const char* argv0) {
       << "  stats\n"
       << "  drain\n"
       << "  bench [--requests N] [--concurrency K] [--seed S] [--full]\n"
-      << "        [--figures a,b,c] [--kill-worker N]\n"
+      << "        [--figures a,b,c]\n"
       << "common options: --socket PATH, --connect-retries R, --version\n";
   return 2;
 }
@@ -226,11 +224,6 @@ int RunStats(serve::Client& client) {
               << FormatDouble(l.p90_seconds, 3) << " s, p99 "
               << FormatDouble(l.p99_seconds, 3) << " s\n";
   }
-  for (const serve::WorkerStatus& w : stats.workers) {
-    std::cout << "  worker " << w.index << ": " << w.state << ", pid "
-              << w.pid << ", restarts " << w.restarts << ", outstanding "
-              << w.outstanding << ", generation " << w.generation << "\n";
-  }
   return 0;
 }
 
@@ -277,9 +270,6 @@ int main(int argc, char** argv) {
       } else if (arg == "--connect-retries" && i + 1 < argc) {
         load.connect_retries = static_cast<unsigned>(
             ParseCount("--connect-retries", argv[++i]));
-      } else if (arg == "--kill-worker" && i + 1 < argc) {
-        load.kill_workers = static_cast<unsigned>(
-            ParseCount("--kill-worker", argv[++i]));
       } else if (arg.size() > 1 && arg[0] == '-') {
         return Usage(argv[0]);  // Bare "-" falls through: IL on stdin.
       } else if (verb.empty()) {
@@ -303,8 +293,6 @@ int main(int argc, char** argv) {
       load.socket_path = socket_path;
       const serve::LoadGenReport report = serve::RunLoadGenerator(load);
       std::cout << report.Render();
-      // A chaos run expects typed failures; plain runs fail on any.
-      if (load.kill_workers > 0) return 0;
       return report.failed == 0 ? 0 : 1;
     }
 

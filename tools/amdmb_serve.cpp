@@ -9,20 +9,14 @@
 // byte-identical to the standalone bench binary's BENCH_<slug>.json.
 //
 // Usage:
-//   amdmb_serve [--socket PATH] [--queue N] [--inflight K] [--workers W]
-//               [--deadline-ms D] [--heartbeat-ms H] [--version]
+//   amdmb_serve [--socket PATH] [--queue N] [--inflight K] [--version]
 //
 // Flags override the environment (AMDMB_SERVE_SOCKET, AMDMB_SERVE_QUEUE,
-// AMDMB_SERVE_INFLIGHT, AMDMB_WORKERS, AMDMB_DEADLINE_MS,
-// AMDMB_HEARTBEAT_MS). Sweep knobs (AMDMB_THREADS, AMDMB_FAULTS,
-// AMDMB_RETRY, ...) apply daemon-wide, exactly as for a bench binary.
-//
-// With --workers >= 1 the daemon runs as a supervised fleet: W forked
-// worker processes (each with a private kernel cache) behind a
-// supervisor that routes by figure slug, health-checks every worker,
-// restarts crashed or hung ones, and fails requests over (see
-// src/serve/supervisor.hpp). --workers 0 (default) is the classic
-// single-process daemon.
+// AMDMB_SERVE_INFLIGHT). With neither --inflight nor
+// AMDMB_SERVE_INFLIGHT, the daemon runs as many sweeps at once as the
+// shared sweep pool has threads (see serve::DefaultInflight). Sweep
+// knobs (AMDMB_THREADS, AMDMB_FAULTS, AMDMB_RETRY, ...) apply
+// daemon-wide, exactly as for a bench binary.
 //
 // Shutdown contract: SIGTERM or SIGINT stops admission (later submits
 // get "rejected"/"draining"), finishes every in-flight and queued
@@ -38,8 +32,8 @@
 #include "common/env.hpp"
 #include "common/status.hpp"
 #include "common/version.hpp"
+#include "exec/thread_pool.hpp"
 #include "serve/server.hpp"
-#include "serve/supervisor.hpp"
 
 namespace {
 
@@ -53,14 +47,13 @@ extern "C" void RecordDrainSignal(int signal_number) {
 
 int Usage(const char* argv0) {
   std::cerr << "usage: " << argv0
-            << " [--socket PATH] [--queue N] [--inflight K] [--workers W]"
-               " [--deadline-ms D] [--heartbeat-ms H] [--version]\n";
+            << " [--socket PATH] [--queue N] [--inflight K] [--version]\n";
   return 2;
 }
 
-/// Shared signal-or-client-drain loop for both daemon flavors.
-template <typename Daemon>
-int ServeUntilDrained(Daemon& daemon, const std::string& banner) {
+/// Serves until a signal or a client's drain request, then drains.
+int ServeUntilDrained(amdmb::serve::Server& daemon,
+                      const std::string& banner) {
   std::signal(SIGTERM, RecordDrainSignal);
   std::signal(SIGINT, RecordDrainSignal);
   std::cout << banner << std::endl;
@@ -85,10 +78,8 @@ int main(int argc, char** argv) {
     config.socket_path = env_options.serve_socket.value_or(
         std::string(env::kDefaultServeSocket));
     config.max_queue = env_options.serve_queue;
-    config.max_inflight = env_options.serve_inflight;
-    unsigned workers = env_options.workers;
-    std::uint64_t deadline_ms = env_options.deadline_ms;
-    std::uint64_t heartbeat_ms = env_options.heartbeat_ms;
+    config.max_inflight = env_options.serve_inflight.value_or(
+        serve::DefaultInflight(exec::DefaultThreadCount()));
     for (int i = 1; i < argc; ++i) {
       if (std::strcmp(argv[i], "--version") == 0) {
         std::cout << "amdmb_serve " << SuiteVersion() << "\n";
@@ -99,37 +90,9 @@ int main(int argc, char** argv) {
         config.max_queue = env::ParseServeQueue(argv[++i]);
       } else if (std::strcmp(argv[i], "--inflight") == 0 && i + 1 < argc) {
         config.max_inflight = env::ParseServeInflight(argv[++i]);
-      } else if (std::strcmp(argv[i], "--workers") == 0 && i + 1 < argc) {
-        workers = env::ParseWorkerCount(argv[++i]);
-      } else if (std::strcmp(argv[i], "--deadline-ms") == 0 &&
-                 i + 1 < argc) {
-        deadline_ms = env::ParseDeadlineMs(argv[++i]);
-      } else if (std::strcmp(argv[i], "--heartbeat-ms") == 0 &&
-                 i + 1 < argc) {
-        heartbeat_ms = env::ParseHeartbeatMs(argv[++i]);
       } else {
         return Usage(argv[0]);
       }
-    }
-
-    if (workers >= 1) {
-      serve::SupervisorConfig fleet;
-      fleet.socket_path = config.socket_path;
-      fleet.workers = workers;
-      fleet.worker_queue = config.max_queue;
-      fleet.worker_inflight = config.max_inflight;
-      fleet.deadline_ms = deadline_ms;
-      fleet.health.heartbeat_ms = heartbeat_ms;
-      serve::Supervisor supervisor(fleet);
-      supervisor.Start();
-      return ServeUntilDrained(
-          supervisor,
-          "amdmb_serve " + std::string(SuiteVersion()) + " supervising " +
-              std::to_string(workers) + " worker(s) on " +
-              supervisor.SocketPath() + " (per-worker queue " +
-              std::to_string(config.max_queue) + ", inflight " +
-              std::to_string(config.max_inflight) + ", heartbeat " +
-              std::to_string(heartbeat_ms) + " ms)");
     }
 
     serve::Server server(config);
