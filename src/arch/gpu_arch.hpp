@@ -27,6 +27,8 @@ struct TexCacheConfig {
   unsigned associativity = 8;
   /// 2-D set indexing (ablation knob; see bench_ablation_cache_index).
   bool two_d_index = true;
+
+  bool operator==(const TexCacheConfig&) const = default;
 };
 
 /// Off-chip memory (GDDR) model parameters.
@@ -50,6 +52,8 @@ struct DramConfig {
   Cycles row_switch_cycles = 0;
   unsigned banks = 8;
   Bytes row_bytes = 2048;
+
+  bool operator==(const DramConfig&) const = default;
 };
 
 /// Complete description of one GPU generation.
@@ -121,6 +125,10 @@ struct GpuArch {
   double CyclesToSeconds(double cycles) const {
     return cycles / CoreClockHz();
   }
+
+  /// Every field, names included: two archs that share a name but differ
+  /// in an ablation parameter are different machines.
+  bool operator==(const GpuArch&) const = default;
 };
 
 /// Radeon HD 3870 (RV670): 320 ALUs, 4 SIMDs, no compute shader, slow

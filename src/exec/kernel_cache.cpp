@@ -60,6 +60,11 @@ KernelCache::KernelCache(std::size_t capacity) : capacity_(capacity) {
 
 std::shared_ptr<const isa::Program> KernelCache::Compile(
     const il::Kernel& kernel, const GpuArch& arch) {
+  return Lookup(kernel, arch).program;
+}
+
+CachedProgram KernelCache::Lookup(const il::Kernel& kernel,
+                                  const GpuArch& arch) {
   const compiler::CompileOptions opts = compiler::OptionsFor(arch);
   std::string key = KernelCacheKey(kernel, opts);
   {
@@ -67,7 +72,7 @@ std::shared_ptr<const isa::Program> KernelCache::Compile(
     if (const auto it = entries_.find(key); it != entries_.end()) {
       it->second.last_used = ++tick_;
       ++stats_.hits;
-      return it->second.program;
+      return {it->second.program, std::move(key)};
     }
     ++stats_.misses;
   }
@@ -80,26 +85,65 @@ std::shared_ptr<const isa::Program> KernelCache::Compile(
 
   const std::lock_guard lock(mutex_);
   const auto [it, inserted] =
-      entries_.try_emplace(std::move(key), Entry{program, ++tick_});
+      entries_.try_emplace(key, Entry{program, ++tick_, {}});
   if (!inserted) {
     it->second.last_used = tick_;
-    return it->second.program;
+    return {it->second.program, std::move(key)};
   }
-  if (entries_.size() > capacity_) {
+  EvictBeyondBounds(it);
+  return {std::move(program), std::move(key)};
+}
+
+void KernelCache::EvictBeyondBounds(Entries::iterator keep) {
+  while (entries_.size() > capacity_ || launch_count_ > kMaxLaunches) {
+    const bool for_launches = entries_.size() <= capacity_;
     auto victim = entries_.end();
     for (auto e = entries_.begin(); e != entries_.end(); ++e) {
-      if (e == it) continue;  // Never evict the entry just inserted.
+      if (e == keep) continue;
+      if (for_launches && e->second.launches.empty()) continue;
       if (victim == entries_.end() ||
           e->second.last_used < victim->second.last_used) {
         victim = e;
       }
     }
-    if (victim != entries_.end()) {
-      entries_.erase(victim);
-      ++stats_.evictions;
+    if (victim == entries_.end()) return;
+    launch_count_ -= victim->second.launches.size();
+    entries_.erase(victim);
+    ++stats_.evictions;
+  }
+}
+
+std::optional<sim::KernelStats> KernelCache::FindLaunch(
+    const std::string& key, const GpuArch& arch,
+    const sim::LaunchConfig& config) {
+  const std::lock_guard lock(mutex_);
+  if (const auto it = entries_.find(key); it != entries_.end()) {
+    for (const Launch& launch : it->second.launches) {
+      if (launch.config == config && launch.arch == arch) {
+        ++stats_.launch_hits;
+        return launch.stats;
+      }
     }
   }
-  return program;
+  ++stats_.launch_misses;
+  return std::nullopt;
+}
+
+void KernelCache::RememberLaunch(const std::string& key, const GpuArch& arch,
+                                 const sim::LaunchConfig& config,
+                                 const sim::KernelStats& stats) {
+  const std::lock_guard lock(mutex_);
+  const auto it = entries_.find(key);
+  if (it == entries_.end()) return;
+  std::vector<Launch>& launches = it->second.launches;
+  for (const Launch& launch : launches) {
+    // A racing miss on the same launch already recorded it.
+    if (launch.config == config && launch.arch == arch) return;
+  }
+  if (launches.size() == kMaxLaunches) return;
+  launches.push_back({arch, config, stats});
+  ++launch_count_;
+  EvictBeyondBounds(it);
 }
 
 KernelCacheStats KernelCache::Stats() const {
@@ -115,6 +159,7 @@ std::size_t KernelCache::Size() const {
 void KernelCache::Clear() {
   const std::lock_guard lock(mutex_);
   entries_.clear();
+  launch_count_ = 0;
   stats_ = KernelCacheStats{};
   tick_ = 0;
 }

@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <charconv>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
@@ -161,7 +162,13 @@ unsigned ParseRangeCount(LineCursor& cur, std::string_view prefix) {
   if (first != 0) cur.Fail("declaration ranges must start at 0");
   if (cur.Consume("..")) {
     cur.Expect(prefix);
-    return cur.Number() + 1;
+    const unsigned last = cur.Number();
+    // The count is last + 1; at the top of the range it would wrap to 0.
+    if (last == std::numeric_limits<unsigned>::max()) {
+      cur.Fail("declaration range end " + std::to_string(last) +
+               " is too large to count");
+    }
+    return last + 1;
   }
   return 1;
 }

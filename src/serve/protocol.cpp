@@ -267,7 +267,9 @@ std::string SerializeStats(const ServeStats& stats) {
      << ",\"rejected\":" << stats.rejected << ",\"cache\":{\"hits\":"
      << stats.cache_hits << ",\"misses\":" << stats.cache_misses
      << ",\"hit_rate\":" << report::JsonNumber(stats.cache_hit_rate)
-     << ",\"size\":" << stats.cache_size << "},\"latencies\":[";
+     << ",\"size\":" << stats.cache_size
+     << ",\"launch_hits\":" << stats.launch_hits
+     << ",\"launch_misses\":" << stats.launch_misses << "},\"latencies\":[";
   for (std::size_t i = 0; i < stats.latencies.size(); ++i) {
     const FigureLatency& l = stats.latencies[i];
     if (i > 0) os << ",";
@@ -304,6 +306,8 @@ ServeStats ParseStats(const report::JsonValue& body) {
     stats.cache_misses = CountOr(*cache, "misses");
     stats.cache_hit_rate = cache->NumberOr("hit_rate", 0.0);
     stats.cache_size = static_cast<std::size_t>(CountOr(*cache, "size"));
+    stats.launch_hits = CountOr(*cache, "launch_hits");
+    stats.launch_misses = CountOr(*cache, "launch_misses");
   }
   if (const report::JsonValue* latencies = body.Find("latencies")) {
     for (const report::JsonValue& entry : latencies->AsArray()) {

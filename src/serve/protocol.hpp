@@ -30,8 +30,8 @@
 //   error     — terminal failure; carries the message plus a typed
 //               "kind": sweep_failed (the sweep threw) or
 //               protocol_error (malformed/oversized request line).
-//   stats     — response to a stats request (queue depth, cache hit
-//               rate, per-figure latency percentiles).
+//   stats     — response to a stats request (queue depth, kernel-cache
+//               compile and launch hits, per-figure latency percentiles).
 //   drained   — response to a drain request once every admitted sweep
 //               has finished.
 //
@@ -192,6 +192,8 @@ struct ServeStats {
   std::uint64_t cache_misses = 0;
   double cache_hit_rate = 0.0;
   std::size_t cache_size = 0;
+  std::uint64_t launch_hits = 0;    ///< Launches answered from the cache.
+  std::uint64_t launch_misses = 0;  ///< Launches the cache had not seen.
   std::vector<FigureLatency> latencies;  ///< Sorted by figure slug.
 };
 

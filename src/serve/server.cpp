@@ -351,6 +351,8 @@ ServeStats Server::Stats() const {
   stats.cache_misses = cache.misses;
   stats.cache_hit_rate = cache.HitRate();
   stats.cache_size = exec::KernelCache::Shared().Size();
+  stats.launch_hits = cache.launch_hits;
+  stats.launch_misses = cache.launch_misses;
   stats.latencies = store_.Latencies();
   return stats;
 }

@@ -48,6 +48,8 @@ struct LaunchConfig {
   /// AMDMB_PROF is unset. The CAL layer / suite Runner consult this (or
   /// prof::ProfilingEnabled()) and attach a prof::Collector to Execute.
   bool profile = false;
+
+  bool operator==(const LaunchConfig&) const = default;
 };
 
 /// Thrown by Gpu::Execute when a launch exceeds its watchdog cycle

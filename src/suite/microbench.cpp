@@ -1,5 +1,7 @@
 #include "suite/microbench.hpp"
 
+#include <optional>
+
 #include "compiler/compiler.hpp"
 #include "prof/chrome_trace.hpp"
 #include "prof/collector.hpp"
@@ -17,11 +19,13 @@ Measurement Runner::Measure(const il::Kernel& kernel,
   // The compile boundary is checked before the cache lookup so the fault
   // schedule never depends on what some other point compiled first.
   cal::CheckInjectedFault(fault::FaultSite::kCompile, point, ctx.attempt);
-  const std::shared_ptr<const isa::Program> program =
+  const exec::CachedProgram compiled =
       cache_ != nullptr
-          ? cache_->Compile(kernel, gpu_.Arch())
-          : std::make_shared<const isa::Program>(
-                compiler::Compile(kernel, gpu_.Arch()));
+          ? cache_->Lookup(kernel, gpu_.Arch())
+          : exec::CachedProgram{std::make_shared<const isa::Program>(
+                                    compiler::Compile(kernel, gpu_.Arch())),
+                                {}};
+  const isa::Program& program = *compiled.program;
   cal::CheckInjectedFault(fault::FaultSite::kLaunch, point, ctx.attempt);
   cal::CheckInjectedFault(fault::FaultSite::kHang, point, ctx.attempt);
   sim::LaunchConfig bounded = config;
@@ -34,23 +38,35 @@ Measurement Runner::Measure(const il::Kernel& kernel,
   if (bounded.profile || prof::ProfilingEnabled()) {
     collector = std::make_unique<prof::Collector>(sim::DefaultTraceCapacity());
   }
+  // Launches are remembered next to their program, but never when a
+  // collector needs the simulation itself to run.
+  const bool memo = cache_ != nullptr && collector == nullptr;
+  std::optional<sim::KernelStats> remembered;
+  if (memo) remembered = cache_->FindLaunch(compiled.key, gpu_.Arch(), bounded);
   Measurement m;
-  m.ska = compiler::Analyze(*program, gpu_.Arch());
-  try {
-    m.stats = gpu_.Execute(*program, bounded, nullptr, collector.get());
-  } catch (const sim::WatchdogTimeout& e) {
-    throw cal::CalError(cal::CalResult::kCalTimeout, "launch",
-                        std::string(point), ctx.attempt, e.what());
+  m.ska = compiler::Analyze(program, gpu_.Arch());
+  if (remembered) {
+    m.stats = *remembered;
+  } else {
+    try {
+      m.stats = gpu_.Execute(program, bounded, nullptr, collector.get());
+    } catch (const sim::WatchdogTimeout& e) {
+      throw cal::CalError(cal::CalResult::kCalTimeout, "launch",
+                          std::string(point), ctx.attempt, e.what());
+    }
   }
   cal::CheckInjectedFault(fault::FaultSite::kReadback, point, ctx.attempt);
+  if (memo && !remembered) {
+    cache_->RememberLaunch(compiled.key, gpu_.Arch(), bounded, m.stats);
+  }
   m.seconds = m.stats.seconds;
   if (collector != nullptr) {
     prof::Profile profile = collector->Take();
-    profile.kernel = program->name;
+    profile.kernel = program.name;
     profile.point = std::string(point);
     profile.arch = gpu_.Arch().name;
     profile.mode = ToString(bounded.mode);
-    profile.type = ToString(program->sig.type);
+    profile.type = ToString(program.sig.type);
     profile.attempt = ctx.attempt;
     // Export before publishing: a parallel sweep writes each point's
     // trace from its own worker, and the arch/mode/type-qualified file

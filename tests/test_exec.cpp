@@ -9,8 +9,10 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "cal/cal_result.hpp"
 #include "common/env.hpp"
 #include "exec/kernel_cache.hpp"
 #include "exec/run_report.hpp"
@@ -383,6 +385,239 @@ TEST(KernelCacheTest, ThreadSafeUnderConcurrentMisses) {
   // Racing misses on one key may compile twice, but never more often
   // than once per worker.
   EXPECT_LE(stats.misses, 4u * 8u);
+}
+
+// ---- Launch memo (remembered launches in the KernelCache) ---------------
+
+sim::LaunchConfig SmallLaunch() {
+  sim::LaunchConfig launch;
+  launch.domain = Domain{256, 256};
+  return launch;
+}
+
+/// A compute-mode kernel, so the block shape matters to the simulation.
+il::Kernel ComputeKernel() {
+  suite::GenericSpec spec = SpecWithAluOps(16);
+  spec.write_path = WritePath::kGlobal;
+  return suite::GenerateGeneric(spec);
+}
+
+TEST(LaunchMemoTest, WarmCacheSweepEqualsUncachedSweep) {
+  const GpuArch arch = MakeRV770();
+  suite::AluFetchConfig config;
+  config.domain = Domain{256, 256};
+  const SweepExecutor serial(1);
+  config.exec.executor = &serial;
+
+  KernelCache cache;
+  const suite::Runner uncached(arch, nullptr);
+  const suite::Runner cached(arch, &cache);
+  const suite::AluFetchResult reference = RunAluFetch(
+      uncached, ShaderMode::kPixel, DataType::kFloat, config);
+  const suite::AluFetchResult cold = RunAluFetch(
+      cached, ShaderMode::kPixel, DataType::kFloat, config);
+  const std::uint64_t cold_hits = cache.Stats().launch_hits;
+  const suite::AluFetchResult warm = RunAluFetch(
+      cached, ShaderMode::kPixel, DataType::kFloat, config);
+
+  ASSERT_EQ(reference.points.size(), warm.points.size());
+  ASSERT_EQ(reference.points.size(), cold.points.size());
+  EXPECT_EQ(cache.Stats().launch_hits - cold_hits, warm.points.size())
+      << "every warm launch is answered from the cache";
+  for (std::size_t i = 0; i < reference.points.size(); ++i) {
+    EXPECT_EQ(reference.points[i].m.stats, cold.points[i].m.stats) << i;
+    EXPECT_EQ(reference.points[i].m.stats, warm.points[i].m.stats) << i;
+  }
+  EXPECT_EQ(reference.crossover, warm.crossover);
+}
+
+TEST(LaunchMemoTest, ArchAndConfigFieldsAreEachPartOfTheKey) {
+  KernelCache cache;
+  const il::Kernel kernel = ComputeKernel();
+  sim::LaunchConfig base = SmallLaunch();
+  base.mode = ShaderMode::kCompute;
+  const GpuArch arch = MakeRV770();
+
+  // Same name, different machines.
+  GpuArch one_d = arch;
+  one_d.l1.two_d_index = false;
+  GpuArch row_penalty = arch;
+  row_penalty.dram.row_switch_cycles = 40;
+  // Same launch, bar one field.
+  sim::LaunchConfig watchdog = base;
+  watchdog.watchdog_cycles = 1'000'000'000;
+  sim::LaunchConfig repetitions = base;
+  repetitions.repetitions = 10;
+  sim::LaunchConfig block = base;
+  block.block = BlockShape{16, 4};
+
+  const std::vector<std::pair<GpuArch, sim::LaunchConfig>> launches = {
+      {arch, base},     {one_d, base},        {row_penalty, base},
+      {arch, watchdog}, {arch, repetitions}, {arch, block}};
+  for (const auto& [a, config] : launches) {
+    (void)suite::Runner(a, &cache).Measure(kernel, config);
+  }
+  EXPECT_EQ(cache.Stats().launch_hits, 0u);
+  EXPECT_EQ(cache.Stats().launch_misses, launches.size());
+  // Every one of them is now remembered under its own key.
+  for (const auto& [a, config] : launches) {
+    (void)suite::Runner(a, &cache).Measure(kernel, config);
+  }
+  EXPECT_EQ(cache.Stats().launch_hits, launches.size());
+  EXPECT_EQ(cache.Stats().launch_misses, launches.size());
+}
+
+TEST(LaunchMemoTest, ProfiledLaunchesAlwaysSimulate) {
+  KernelCache cache;
+  const suite::Runner runner(MakeRV770(), &cache);
+  const il::Kernel kernel = suite::GenerateGeneric(SpecWithAluOps(16));
+  const suite::Measurement plain = runner.Measure(kernel, SmallLaunch());
+  EXPECT_EQ(plain.profile, nullptr);
+  sim::LaunchConfig profiled = SmallLaunch();
+  profiled.profile = true;
+  for (int i = 0; i < 2; ++i) {
+    const suite::Measurement m = runner.Measure(kernel, profiled);
+    ASSERT_NE(m.profile, nullptr) << "run " << i;
+    EXPECT_EQ(m.stats, plain.stats);
+  }
+  // The profiled launches neither consulted nor filled the memo.
+  EXPECT_EQ(cache.Stats().launch_hits, 0u);
+  EXPECT_EQ(cache.Stats().launch_misses, 1u);
+}
+
+TEST(LaunchMemoTest, ClearAndEvictionForgetLaunches) {
+  KernelCache cache(/*capacity=*/1);
+  const suite::Runner runner(MakeRV770(), &cache);
+  const il::Kernel k1 = suite::GenerateGeneric(SpecWithAluOps(8));
+  const il::Kernel k2 = suite::GenerateGeneric(SpecWithAluOps(16));
+  (void)runner.Measure(k1, SmallLaunch());
+  (void)runner.Measure(k1, SmallLaunch());
+  EXPECT_EQ(cache.Stats().launch_hits, 1u);
+
+  (void)runner.Measure(k2, SmallLaunch());  // Evicts k1 and its launch.
+  EXPECT_EQ(cache.Stats().evictions, 1u);
+  (void)runner.Measure(k1, SmallLaunch());
+  EXPECT_EQ(cache.Stats().launch_hits, 1u);
+  EXPECT_EQ(cache.Stats().launch_misses, 3u);
+
+  cache.Clear();
+  (void)runner.Measure(k1, SmallLaunch());
+  EXPECT_EQ(cache.Stats().launch_hits, 0u);
+  EXPECT_EQ(cache.Stats().launch_misses, 1u);
+}
+
+TEST(LaunchMemoTest, RepeatedLongSweepOnOneProgramHitsEveryPoint) {
+  // A full-scale Fig. 15a puts 291 launches on one program; repeating
+  // such a sweep in the same order must be answered whole.
+  KernelCache cache;
+  const suite::Runner runner(MakeRV770(), &cache);
+  const il::Kernel kernel = suite::GenerateGeneric(SpecWithAluOps(8));
+  sim::LaunchConfig launch = SmallLaunch();
+  constexpr unsigned kPoints = 300;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (unsigned r = 1; r <= kPoints; ++r) {
+      launch.repetitions = r;
+      (void)runner.Measure(kernel, launch);
+    }
+  }
+  EXPECT_EQ(cache.Stats().launch_misses, kPoints);
+  EXPECT_EQ(cache.Stats().launch_hits, kPoints);
+}
+
+TEST(LaunchMemoTest, LaunchBoundEvictsTheLeastRecentlyUsedEntryWithLaunches) {
+  KernelCache cache;
+  const GpuArch arch = MakeRV770();
+  const sim::KernelStats stats;
+  sim::LaunchConfig launch = SmallLaunch();
+  const auto reps = [&](unsigned r) {
+    launch.repetitions = r;
+    return launch;
+  };
+  const std::string idle =
+      cache.Lookup(suite::GenerateGeneric(SpecWithAluOps(4)), arch).key;
+  const std::string full =
+      cache.Lookup(suite::GenerateGeneric(SpecWithAluOps(8)), arch).key;
+  for (unsigned r = 1; r <= KernelCache::kMaxLaunches; ++r) {
+    cache.RememberLaunch(full, arch, reps(r), stats);
+  }
+  // One entry never holds more than the whole bound.
+  cache.RememberLaunch(full, arch, reps(KernelCache::kMaxLaunches + 1), stats);
+  EXPECT_FALSE(
+      cache.FindLaunch(full, arch, reps(KernelCache::kMaxLaunches + 1)));
+  EXPECT_TRUE(cache.FindLaunch(full, arch, reps(1)));
+  EXPECT_EQ(cache.Stats().evictions, 0u);
+
+  // One more launch elsewhere evicts `full`, not the older `idle`, which
+  // remembers nothing.
+  const std::string fresh =
+      cache.Lookup(suite::GenerateGeneric(SpecWithAluOps(16)), arch).key;
+  cache.RememberLaunch(fresh, arch, reps(1), stats);
+  EXPECT_EQ(cache.Stats().evictions, 1u);
+  EXPECT_EQ(cache.Size(), 2u);
+  EXPECT_FALSE(cache.FindLaunch(full, arch, reps(1)));
+  EXPECT_TRUE(cache.FindLaunch(fresh, arch, reps(1)));
+  EXPECT_EQ(cache.Lookup(suite::GenerateGeneric(SpecWithAluOps(4)), arch).key,
+            idle);
+  EXPECT_EQ(cache.Stats().hits, 1u) << "the idle program is still cached";
+}
+
+TEST(LaunchMemoTest, WatchdogTimeoutsAreNotRemembered) {
+  KernelCache cache;
+  const suite::Runner runner(MakeRV770(), &cache);
+  const il::Kernel kernel = suite::GenerateGeneric(SpecWithAluOps(16));
+  sim::LaunchConfig launch = SmallLaunch();
+  launch.watchdog_cycles = 1;
+  for (int i = 0; i < 2; ++i) {
+    try {
+      (void)runner.Measure(kernel, launch);
+      FAIL() << "expected a watchdog timeout";
+    } catch (const cal::CalError& e) {
+      EXPECT_EQ(e.Code(), cal::CalResult::kCalTimeout);
+    }
+  }
+  EXPECT_EQ(cache.Stats().launch_hits, 0u);
+  EXPECT_EQ(cache.Stats().launch_misses, 2u);
+}
+
+TEST(LaunchMemoTest, InjectedLaunchFaultsFireTheSameOnHitsAndMisses) {
+  KernelCache cache;
+  const GpuArch arch = MakeRV770();
+  const suite::Runner cached(arch, &cache);
+  const suite::Runner uncached(arch, nullptr);
+  std::vector<il::Kernel> kernels;
+  for (unsigned ops = 4; ops <= 64; ops += 4) {
+    kernels.push_back(suite::GenerateGeneric(SpecWithAluOps(ops)));
+  }
+  std::vector<suite::MeasureContext> points(kernels.size());
+  for (std::size_t i = 0; i < kernels.size(); ++i) {
+    points[i].point = "point_" + std::to_string(i);
+    (void)cached.Measure(kernels[i], SmallLaunch(), points[i]);
+  }
+  const std::uint64_t warm_hits = cache.Stats().launch_hits;
+
+  const fault::ScopedFaultInjector scoped("launch:0.5,seed=3");
+  std::size_t fired = 0;
+  for (std::size_t i = 0; i < kernels.size(); ++i) {
+    const suite::MeasureContext& ctx = points[i];
+    bool hit_faulted = false, miss_faulted = false;
+    try {
+      (void)cached.Measure(kernels[i], SmallLaunch(), ctx);
+    } catch (const cal::CalError& e) {
+      EXPECT_EQ(e.Code(), cal::CalResult::kCalLaunchFailed);
+      hit_faulted = true;
+    }
+    try {
+      (void)uncached.Measure(kernels[i], SmallLaunch(), ctx);
+    } catch (const cal::CalError&) {
+      miss_faulted = true;
+    }
+    EXPECT_EQ(hit_faulted, miss_faulted) << ctx.point;
+    fired += hit_faulted ? 1 : 0;
+  }
+  EXPECT_GT(fired, 0u);
+  EXPECT_LT(fired, kernels.size());
+  // Only the launches that got past the fault reached the memo.
+  EXPECT_EQ(cache.Stats().launch_hits - warm_hits, kernels.size() - fired);
 }
 
 // ---- End-to-end determinism -------------------------------------------

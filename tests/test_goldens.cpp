@@ -5,6 +5,9 @@
 // byte, suite_version masked. The digest code is the benchmark's own
 // (perfbench/src/documents.cpp), so the two gates cannot drift apart.
 //
+// GoldenWarmCache repeats the registry in one process against the shared
+// kernel cache, so later documents come from remembered launches.
+//
 // Documents record AMDMB_THREADS and the AMDMB_* knobs in their meta
 // block, so main() pins the environment the reference was built under
 // (no knobs, two sweep threads) before anything reads it.
@@ -13,10 +16,12 @@
 #include <cstdlib>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "adapt/refiner.hpp"
 #include "documents.hpp"
+#include "exec/kernel_cache.hpp"
 #include "report/json_sink.hpp"
 #include "suite/figures.hpp"
 
@@ -49,10 +54,9 @@ const perfbench::DigestTable& Reference() {
   return table;
 }
 
-class GoldenTest : public ::testing::TestWithParam<GoldenCase> {};
-
-TEST_P(GoldenTest, BenchJsonMatchesReferenceDigest) {
-  const GoldenCase& golden = GetParam();
+/// Builds one registry document and checks its digest against the
+/// reference.
+void ExpectReferenceDigest(const GoldenCase& golden) {
   const std::string key = perfbench::FigureKey(golden.slug, golden.adaptive);
   const auto expected = Reference().find(key);
   ASSERT_NE(expected, Reference().end()) << "no reference digest for " << key;
@@ -66,6 +70,33 @@ TEST_P(GoldenTest, BenchJsonMatchesReferenceDigest) {
   const std::string json =
       report::BenchJson(suite::figures::Build(*def, run));
   EXPECT_EQ(perfbench::DocumentDigest(json), expected->second) << key;
+}
+
+class GoldenTest : public ::testing::TestWithParam<GoldenCase> {};
+
+TEST_P(GoldenTest, BenchJsonMatchesReferenceDigest) {
+  ExpectReferenceDigest(GetParam());
+}
+
+// Figures re-plot each other's baselines, so a shared kernel cache that
+// outlives one figure answers later figures' launches from memory. Two
+// rounds over the whole registry without clearing the cache: the second
+// is served by remembered launches, and both match the references.
+TEST(GoldenWarmCache, EveryDocumentMatchesWhenServedFromRememberedLaunches) {
+  const exec::KernelCache& cache = exec::KernelCache::Shared();
+  for (const char* round : {"first round", "second round"}) {
+    SCOPED_TRACE(round);
+    const exec::KernelCacheStats before = cache.Stats();
+    for (const GoldenCase& golden : RegistryCases()) {
+      ExpectReferenceDigest(golden);
+    }
+    const exec::KernelCacheStats after = cache.Stats();
+    if (std::string_view(round) == "second round") {
+      EXPECT_GT(after.launch_hits, before.launch_hits);
+      EXPECT_EQ(after.launch_misses, before.launch_misses)
+          << "the second round re-simulated a launch";
+    }
+  }
 }
 
 TEST(GoldenReference, CoversExactlyTheRegistry) {

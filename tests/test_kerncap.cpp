@@ -140,6 +140,23 @@ TEST(KerncapIntake, RejectsParseError) {
                  kerncap::RejectReason::kParseError);
 }
 
+TEST(KerncapIntake, RejectsUncountableDeclarationRangeAsParseError) {
+  // The range end wraps `unsigned` when counted; intake must name the
+  // declaration, not report an undeclared-input fetch.
+  const kerncap::AnalyzeResult result = kerncap::Analyze(
+      "il_ps_2_0 ; overflow_probe\n"
+      "; type=Float read=Texture write=Stream\n"
+      "dcl_input i0..i4294967295\n"
+      "dcl_output o0\n"
+      "  sample    r0, i0\n"
+      "  export    o0, r0\n"
+      "end\n");
+  ExpectRejected(result, kerncap::RejectReason::kParseError);
+  ASSERT_FALSE(result.ok());
+  EXPECT_NE(result.rejection->detail.find("4294967295"), std::string::npos)
+      << result.rejection->detail;
+}
+
 TEST(KerncapIntake, RejectsVerifyError) {
   // Grammatically valid, but i0 is declared and never fetched.
   ExpectRejected(kerncap::Analyze(

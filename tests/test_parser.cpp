@@ -123,6 +123,23 @@ TEST(ParserTest, RejectsStructuralErrors) {
                ConfigError);
 }
 
+TEST(ParserTest, RangeEndTooLargeToCountIsAConfigError) {
+  // i0..i4294967295 declares 2^32 inputs, one more than `unsigned` can
+  // count; the count must not wrap to zero.
+  try {
+    Parse("il_ps_2_0\ndcl_input i0..i4294967295\nend\n");
+    FAIL() << "expected a parse error";
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos);
+    EXPECT_NE(std::string(e.what()).find("too large"), std::string::npos);
+  }
+  EXPECT_THROW(Parse("il_ps_2_0\ndcl_output o0..o4294967295\nend\n"),
+               ConfigError);
+  // The largest countable range still parses.
+  EXPECT_EQ(Parse("il_ps_2_0\ndcl_input i0..i4294967294\nend\n").sig.inputs,
+            4294967295u);
+}
+
 TEST(ParserTest, ParsedKernelCompilesAndRuns) {
   suite::GenericSpec spec;
   spec.inputs = 4;

@@ -186,6 +186,8 @@ TEST(ServeProtocol, StatsRoundTripPreservesEveryField) {
   stats.cache_misses = 32;
   stats.cache_hit_rate = 0.8;
   stats.cache_size = 32;
+  stats.launch_hits = 96;
+  stats.launch_misses = 64;
   stats.latencies = {{"fig_11", 4, 0.5, 0.9, 0.99}, {"fig_7", 6, 1.5, 2.0,
                                                      2.5}};
   const Event event = ParseEvent(SerializeStats(stats));
@@ -203,6 +205,8 @@ TEST(ServeProtocol, StatsRoundTripPreservesEveryField) {
   EXPECT_EQ(back.cache_misses, stats.cache_misses);
   EXPECT_DOUBLE_EQ(back.cache_hit_rate, stats.cache_hit_rate);
   EXPECT_EQ(back.cache_size, stats.cache_size);
+  EXPECT_EQ(back.launch_hits, stats.launch_hits);
+  EXPECT_EQ(back.launch_misses, stats.launch_misses);
   EXPECT_EQ(back.latencies, stats.latencies);
 }
 

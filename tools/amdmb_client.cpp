@@ -217,7 +217,9 @@ int RunStats(serve::Client& client) {
             << "kernel cache: " << stats.cache_hits << " hits, "
             << stats.cache_misses << " misses (hit rate "
             << FormatDouble(stats.cache_hit_rate, 3) << "), "
-            << stats.cache_size << " entries\n";
+            << stats.cache_size << " entries\n"
+            << "kernel cache launches: " << stats.launch_hits << " hits, "
+            << stats.launch_misses << " misses\n";
   for (const serve::FigureLatency& l : stats.latencies) {
     std::cout << "  " << l.figure << ": " << l.count << " done, p50 "
               << FormatDouble(l.p50_seconds, 3) << " s, p90 "
