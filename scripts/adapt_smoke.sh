@@ -9,8 +9,9 @@
 #      grid must spend at most a fifth of the dense point count while
 #      agreeing on every crossover (exit 5 on a budget violation),
 #   3. amdmb_adapt frontier: the 2D bottleneck frontier map builds, is
-#      byte-deterministic across AMDMB_THREADS, and emits the pm3d
-#      heatmap artifacts through the gnuplot sink,
+#      byte-deterministic across AMDMB_THREADS, emits the pm3d heatmap
+#      artifacts through the gnuplot sink, and writes the BENCH json
+#      plus CSV every bench binary writes,
 #   4. amdmb_perf: the sim-throughput benchmark writes a well-formed
 #      BENCH_PERF.json (median_ns / p95_ns / points_per_second).
 #
@@ -43,6 +44,8 @@ cmp "$WORK_DIR/frontier_t1.json" "$WORK_DIR/frontier_t8.json"
 AMDMB_DUMP_DIR="$WORK_DIR/plots" "$ADAPT" frontier --quick > /dev/null
 ls "$WORK_DIR"/plots/*_frontier.dat "$WORK_DIR"/plots/*_frontier.gp > /dev/null
 grep -q "with image" "$WORK_DIR"/plots/*_frontier.gp
+AMDMB_JSON_DIR="$WORK_DIR/json" "$ADAPT" frontier --quick > /dev/null
+ls "$WORK_DIR"/json/BENCH_*frontier*.json "$WORK_DIR"/json/*frontier*.csv > /dev/null
 
 echo "== sim-throughput benchmark writes BENCH_PERF.json"
 "$PERF" --groups 3 --samples 5 --warmup 2 --out "$WORK_DIR/BENCH_PERF.json"

@@ -2,7 +2,12 @@
 
 #include <fstream>
 
+#include "common/env.hpp"
 #include "common/status.hpp"
+#include "report/csv_sink.hpp"
+#include "report/gnuplot_sink.hpp"
+#include "report/json_sink.hpp"
+#include "report/text_sink.hpp"
 
 namespace amdmb::report {
 
@@ -27,6 +32,33 @@ void EnsureWritableDirectory(const std::filesystem::path& directory,
     }
   }
   std::filesystem::remove(probe, ec);  // Best effort; the probe is empty.
+}
+
+namespace {
+
+void WriteFiles(FileSink& sink, const Figure& figure, std::ostream& log) {
+  sink.Write(figure);
+  for (const auto& path : sink.Written()) {
+    log << sink.Label() << ": " << path.string() << "\n";
+  }
+}
+
+}  // namespace
+
+void WriteConfiguredSinks(const Figure& figure, std::ostream* text,
+                          std::ostream& log) {
+  if (text != nullptr) TextSink(*text).Write(figure);
+  const env::Options& options = env::Get();
+  if (options.dump_dir) {
+    GnuplotSink gnuplot(*options.dump_dir);
+    WriteFiles(gnuplot, figure, log);
+  }
+  if (options.json_dir) {
+    JsonSink json(*options.json_dir);
+    WriteFiles(json, figure, log);
+    CsvSink csv(*options.json_dir);
+    WriteFiles(csv, figure, log);
+  }
 }
 
 }  // namespace amdmb::report

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <filesystem>
+#include <ostream>
 #include <string_view>
 #include <vector>
 
@@ -53,5 +54,12 @@ class FileSink : public Sink {
 /// not silently drop results at the end of a long run.
 void EnsureWritableDirectory(const std::filesystem::path& directory,
                              std::string_view label);
+
+/// Writes `figure` through every sink the environment selects: the text
+/// sink to `text` (skipped when null), gnuplot .dat/.gp under
+/// AMDMB_DUMP_DIR, and BENCH_<slug>.json plus <slug>.csv under
+/// AMDMB_JSON_DIR. Each file written is named on `log`.
+void WriteConfiguredSinks(const Figure& figure, std::ostream* text,
+                          std::ostream& log);
 
 }  // namespace amdmb::report

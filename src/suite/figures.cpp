@@ -1,17 +1,21 @@
-// The figure registry: every numbered paper figure as data + code.
+// The figure definitions as data + code: every numbered paper figure
+// (the registry) and the supplementary figures.
 //
 // Each Make* function below is the former bench binary's Register()
 // body, lifted verbatim: same curve order, same config shapes, same
-// findings — so a registry build is byte-identical (through BenchJson)
-// to what the standalone binary writes. Quick scale comes from
+// findings — so a build is byte-identical (through BenchJson) to what
+// the standalone binary wrote. Quick scale comes from
 // RunOptions instead of the AMDMB_QUICK snapshot so the serve daemon
 // can honor a request's quick flag without re-exec'ing.
 #include "suite/figures.hpp"
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
+#include <iostream>
 #include <utility>
 
+#include "arch/occupancy.hpp"
 #include "common/table.hpp"
 #include "suite/suite.hpp"
 
@@ -566,11 +570,350 @@ std::vector<FigureDef> MakeRegistry() {
   return defs;
 }
 
+// The supplementary figures: Table I, the block-size extension, and the
+// four ablations that isolate one mechanism behind a paper claim.
+
+FigureDef MakeTable1() {
+  FigureDef def;
+  def.slug = "table_i";
+  def.bench_prefix = "TableI";
+  def.id = "Table I";
+  def.title = "GPU Hardware Features";
+  def.x_label = "row";
+  def.y_label = "value";
+  def.paper_claim =
+      "RV670/RV770/RV870 core configuration as tested on the "
+      "3870/4870/5870 boards.";
+  def.what = "GPU hardware features and derived execution-model identities";
+  def.curves.push_back({"render", [](report::Figure& fig, const RunOptions&) {
+    // The paper's table itself is text: it goes to stdout as the curve
+    // runs, ahead of the figure block the sinks print.
+    std::cout << RenderHardwareTable() << "\n";
+    for (const GpuArch& arch : AllArchs()) {
+      fig.findings.push_back(
+          {report::FindingKind::kPlateau, arch.name, "alu_count",
+           static_cast<double>(arch.alu_count), "ALUs",
+           std::to_string(arch.thread_processors_per_simd) + " TPs x " +
+               std::to_string(arch.vliw_width) + " lanes x " +
+               std::to_string(arch.simd_engines) + " SIMDs; " +
+               std::to_string(arch.tex_units_per_simd) +
+               " texture units/SIMD; compute shader: " +
+               (arch.supports_compute ? "yes" : "no")});
+    }
+    const GpuArch rv770 = MakeRV770();
+    fig.findings.push_back(
+        {report::FindingKind::kPlateau, rv770.name,
+         "theoretical_wavefronts_5gpr",
+         static_cast<double>(TheoreticalWavefronts(rv770, 5)), "wavefronts",
+         "occupancy check, paper Sec. II-B (paper: 51)"});
+    return 0.0;
+  }});
+  return def;
+}
+
+FigureDef MakeBlockSize() {
+  FigureDef def;
+  def.slug = "extension_compute_block_size_explorer";
+  def.bench_prefix = "BlockSize";
+  def.id = "Extension — Compute Block-Size Explorer";
+  def.title = "Fetch-bound time per compute block shape";
+  def.x_label = "log2(block width)";
+  def.y_label = "Time in seconds";
+  def.paper_claim =
+      "The paper suggests 4x16 but notes one block size may not be best "
+      "for all GPUs; the explorer finds each chip's optimum and quantifies "
+      "the naive 64x1 penalty.";
+  def.what = "every one-wavefront compute block shape, fetch-bound kernel";
+  for (const GpuArch& arch : AllArchs()) {
+    if (!arch.supports_compute) continue;
+    for (const DataType type : {DataType::kFloat, DataType::kFloat4}) {
+      const CurveKey key{arch, ShaderMode::kCompute, type};
+      def.curves.push_back(
+          {key.Name(), [key](report::Figure& fig, const RunOptions& opts) {
+             BlockSizeConfig config;
+             config.type = key.type;
+             if (opts.quick) config.domain = Domain{256, 256};
+             config.exec = opts;
+             Runner runner(key.arch);
+             const BlockSizeResult r = RunBlockSizeExplorer(runner, config);
+             Series& series = fig.set.Get(key.Name());
+             for (const BlockSizePoint& p : r.points) {
+               series.Add(std::log2(static_cast<double>(p.block.x)),
+                          p.m.seconds);
+             }
+             NoteFaults(fig, key.Name(), r.report);
+             NoteProfiles(fig, key.Name(), r.points);
+             if (r.points.empty()) return 0.0;
+             Append(fig, Findings(r, key.Name()));
+             return r.best_seconds;
+           }});
+    }
+  }
+  return def;
+}
+
+FigureDef MakeClauseUsage() {
+  FigureDef def;
+  def.slug = "ablation_clause_usage_control_paper_fig_5";
+  def.bench_prefix = "Fig05Control";
+  def.id = "Ablation — Clause Usage Control (paper Fig. 5)";
+  def.title = "Register kernel vs clause-usage control";
+  def.x_label = "step";
+  def.y_label = "Time in seconds";
+  def.paper_claim =
+      "The control kernel's execution time is constant across steps (its "
+      "GPR count never falls), while the register-usage kernel speeds up.";
+  def.what = "register-usage sweep vs its pinned-GPR clause-usage control";
+  for (const GpuArch& arch : AllArchs()) {
+    def.curves.push_back(
+        {arch.name, [arch](report::Figure& fig, const RunOptions& opts) {
+           RegisterUsageConfig control_config = QuickRegisterUsage(opts);
+           control_config.clause_control = true;
+           Runner runner(arch);
+           const RegisterUsageResult sweep =
+               RunRegisterUsage(runner, ShaderMode::kPixel, DataType::kFloat,
+                                QuickRegisterUsage(opts));
+           const RegisterUsageResult control = RunRegisterUsage(
+               runner, ShaderMode::kPixel, DataType::kFloat, control_config);
+           const std::string sweep_name = arch.name + " register kernel";
+           const std::string control_name = arch.name + " clause control";
+           Series& s1 = fig.set.Get(sweep_name);
+           Series& s2 = fig.set.Get(control_name);
+           NoteFaults(fig, sweep_name, sweep.report);
+           NoteProfiles(fig, sweep_name, sweep.points);
+           NoteFaults(fig, control_name, control.report);
+           NoteProfiles(fig, control_name, control.points);
+           for (const RegisterUsagePoint& p : sweep.points) {
+             s1.Add(p.step, p.m.seconds);
+           }
+           for (const RegisterUsagePoint& p : control.points) {
+             s2.Add(p.step, p.m.seconds);
+           }
+           if (sweep.points.empty() || control.points.empty()) return 0.0;
+           fig.findings.push_back({report::FindingKind::kRatio, sweep_name,
+                                   "register_speedup",
+                                   sweep.points.front().m.seconds /
+                                       sweep.points.back().m.seconds,
+                                   "x", "first over last sweep point"});
+           Append(fig, ControlFindings(control, control_name));
+           return control.points.back().m.seconds;
+         }});
+  }
+  return def;
+}
+
+FigureDef MakeCacheIndex() {
+  FigureDef def;
+  def.slug = "ablation_2_d_cache_set_indexing";
+  def.bench_prefix = "CacheIndex";
+  def.id = "Ablation — 2-D Cache Set Indexing";
+  def.title = "64x1 compute fetch latency with/without 2-D indexing";
+  def.x_label = "Number of Inputs";
+  def.y_label = "Time in seconds";
+  def.paper_claim =
+      "With 2-D indexing off, 64x1 blocks regain the full cache capacity: "
+      "the curves separate where inter-row line reuse fits in a full but "
+      "not in a halved cache.";
+  def.what = "RV770 64x1 fetch latency with the 2-D cache index on and off";
+  for (const DataType type : {DataType::kFloat, DataType::kFloat4}) {
+    const std::string type_name(ToString(type));
+    def.curves.push_back(
+        {"RV770_" + type_name,
+         [type, type_name](report::Figure& fig, const RunOptions& opts) {
+           ReadLatencyConfig config;
+           if (opts.quick) config.domain = Domain{256, 256};
+           config.exec = opts;
+           GpuArch off = MakeRV770();
+           off.l1.two_d_index = false;
+           const Runner r_on(MakeRV770());
+           const Runner r_off(off);
+           const ReadLatencyResult with_2d =
+               RunReadLatency(r_on, ShaderMode::kCompute, type, config);
+           const ReadLatencyResult without_2d =
+               RunReadLatency(r_off, ShaderMode::kCompute, type, config);
+           Series& s1 = fig.set.Get("4870 64x1 " + type_name + " 2D-index");
+           Series& s2 = fig.set.Get("4870 64x1 " + type_name + " flat-index");
+           NoteFaults(fig, "4870 " + type_name + " 2D-index", with_2d.report);
+           NoteProfiles(fig, "4870 " + type_name + " 2D-index",
+                        with_2d.points);
+           NoteFaults(fig, "4870 " + type_name + " flat-index",
+                      without_2d.report);
+           NoteProfiles(fig, "4870 " + type_name + " flat-index",
+                        without_2d.points);
+           for (const ReadLatencyPoint& p : with_2d.points) {
+             s1.Add(p.inputs, p.m.seconds);
+           }
+           for (const ReadLatencyPoint& p : without_2d.points) {
+             s2.Add(p.inputs, p.m.seconds);
+           }
+           if (with_2d.points.empty()) return 0.0;
+           const std::size_t paired =
+               std::min(with_2d.points.size(), without_2d.points.size());
+           if (paired > 0) {
+             double max_gap = 0;
+             for (std::size_t i = 0; i < paired; ++i) {
+               max_gap = std::max(max_gap, with_2d.points[i].m.seconds /
+                                               without_2d.points[i].m.seconds);
+             }
+             fig.findings.push_back(
+                 {report::FindingKind::kRatio, "4870 64x1 " + type_name,
+                  "two_d_index_penalty_max", max_gap, "x",
+                  "max 2D-index over flat-index time across paired input "
+                  "counts"});
+           }
+           return with_2d.points.back().m.seconds;
+         }});
+  }
+  return def;
+}
+
+FigureDef MakeOccupancy() {
+  FigureDef def;
+  def.slug = "ablation_wavefront_residency_cap";
+  def.bench_prefix = "OccupancyCap";
+  def.id = "Ablation — Wavefront Residency Cap";
+  def.title = "Fig. 16 register sweep under different max-wavefront caps";
+  def.x_label = "Global Purpose Registers";
+  def.y_label = "Time in seconds";
+  def.paper_claim =
+      "The register-pressure speedup requires headroom in the residency "
+      "cap; with cap=4 the sweep flattens, with cap>=16 it saturates.";
+  def.what = "RV770 register-usage sweep per wavefront-residency cap";
+  for (const unsigned cap : {2u, 4u, 8u, 16u, 24u, 32u}) {
+    def.curves.push_back(
+        {std::to_string(cap),
+         [cap](report::Figure& fig, const RunOptions& opts) {
+           GpuArch arch = MakeRV770();
+           arch.max_wavefronts_per_simd = cap;
+           Runner runner(arch);
+           const RegisterUsageResult r =
+               RunRegisterUsage(runner, ShaderMode::kPixel, DataType::kFloat,
+                                QuickRegisterUsage(opts));
+           const std::string name = "cap=" + std::to_string(cap);
+           Series& series = fig.set.Get(name);
+           for (const RegisterUsagePoint& p : r.points) {
+             series.Add(p.gpr_count, p.m.seconds);
+           }
+           NoteFaults(fig, name, r.report);
+           NoteProfiles(fig, name, r.points);
+           if (r.points.empty()) return 0.0;
+           fig.findings.push_back(
+               {report::FindingKind::kRatio, name, "sweep_improvement",
+                r.points.front().m.seconds / r.points.back().m.seconds, "x",
+                "first over last sweep point"});
+           return r.points.back().m.seconds;
+         }});
+  }
+  return def;
+}
+
+struct RowPenaltyPoint {
+  Cycles penalty = 0;
+  Measurement m;
+};
+
+FigureDef MakeRowLocality() {
+  FigureDef def;
+  def.slug = "ablation_dram_row_activation_penalty_on_fills";
+  def.bench_prefix = "RowLocality";
+  def.id = "Ablation — DRAM Row-Activation Penalty on Fills";
+  def.title = "Fetch-bound time vs row-switch penalty per dispatch shape";
+  def.x_label = "Row-switch penalty (cycles)";
+  def.y_label = "Time in seconds";
+  def.paper_claim =
+      "Pixel-mode 8x8 tiles keep fills row-local; 64x1 compute blocks "
+      "degrade fastest as the penalty grows.";
+  def.what = "RV770 fetch-bound time per DRAM row-switch penalty and shape";
+  struct Shape {
+    std::string name;
+    ShaderMode mode;
+    BlockShape block;
+  };
+  const std::vector<Shape> shapes = {
+      {"pixel 8x8", ShaderMode::kPixel, {64, 1}},
+      {"compute 64x1", ShaderMode::kCompute, {64, 1}},
+      {"compute 4x16", ShaderMode::kCompute, {4, 16}},
+  };
+  for (const Shape& shape : shapes) {
+    def.curves.push_back(
+        {shape.name, [shape](report::Figure& fig, const RunOptions& opts) {
+           const std::vector<Cycles> penalties = {0, 8, 16, 32, 64};
+           GenericSpec spec;
+           spec.inputs = 16;
+           spec.alu_ops = 16;  // Ratio 0.25: firmly fetch-bound.
+           spec.type = DataType::kFloat4;
+           spec.write_path = shape.mode == ShaderMode::kCompute
+                                 ? WritePath::kGlobal
+                                 : WritePath::kStream;
+           const il::Kernel kernel = GenerateGeneric(spec);
+           sim::LaunchConfig launch;
+           launch.domain = opts.quick ? Domain{256, 256} : Domain{1024, 1024};
+           launch.mode = shape.mode;
+           launch.block = shape.block;
+           launch.profile = opts.profile;
+           // Every (shape, penalty) point has its own fault-schedule name.
+           std::string stem = shape.name;
+           std::replace(stem.begin(), stem.end(), ' ', '_');
+           const auto label_of = [&](std::size_t i) {
+             return stem + "_penalty_" + std::to_string(penalties[i]);
+           };
+           const auto r = Sweep(
+               penalties.size(),
+               [&](std::size_t i) { return static_cast<double>(penalties[i]); },
+               label_of,
+               [&](std::size_t i, unsigned attempt) {
+                 GpuArch arch = MakeRV770();
+                 arch.dram.row_switch_cycles = penalties[i];
+                 const Runner runner(arch);
+                 return RowPenaltyPoint{
+                     penalties[i],
+                     runner.Measure(kernel, launch, {label_of(i), attempt})};
+               },
+               opts);
+           const std::string name = "4870 " + shape.name;
+           Series& series = fig.set.Get(name);
+           for (const RowPenaltyPoint& p : r.points) {
+             series.Add(static_cast<double>(p.penalty), p.m.seconds);
+           }
+           NoteFaults(fig, name, r.report);
+           NoteProfiles(fig, name, r.points);
+           if (r.points.empty()) return 0.0;
+           const RowPenaltyPoint& base = r.points.front();
+           const RowPenaltyPoint& last = r.points.back();
+           if (base.penalty == penalties.front() &&
+               last.penalty == penalties.back()) {
+             fig.findings.push_back(
+                 {report::FindingKind::kRatio, name, "row_penalty_slowdown",
+                  last.m.seconds / base.m.seconds, "x",
+                  "time at penalty 64 over penalty 0"});
+           }
+           return last.m.seconds;
+         }});
+  }
+  return def;
+}
+
+std::vector<FigureDef> MakeSupplementary() {
+  std::vector<FigureDef> defs;
+  defs.push_back(MakeTable1());
+  defs.push_back(MakeBlockSize());
+  defs.push_back(MakeClauseUsage());
+  defs.push_back(MakeCacheIndex());
+  defs.push_back(MakeOccupancy());
+  defs.push_back(MakeRowLocality());
+  return defs;
+}
+
 }  // namespace
 
 const std::vector<FigureDef>& Registry() {
   static const std::vector<FigureDef> registry = MakeRegistry();
   return registry;
+}
+
+const std::vector<FigureDef>& Supplementary() {
+  static const std::vector<FigureDef> supplementary = MakeSupplementary();
+  return supplementary;
 }
 
 std::string NormalizeSlug(std::string_view name) {
@@ -602,9 +945,10 @@ std::string NormalizeSlug(std::string_view name) {
   return out;
 }
 
-const FigureDef* Find(std::string_view name) {
+const FigureDef* Find(std::string_view name,
+                      const std::vector<FigureDef>& defs) {
   const std::string key = NormalizeSlug(name);
-  for (const FigureDef& def : Registry()) {
+  for (const FigureDef& def : defs) {
     if (NormalizeSlug(def.slug) == key) return &def;
   }
   return nullptr;
@@ -612,20 +956,28 @@ const FigureDef* Find(std::string_view name) {
 
 report::Figure Build(const FigureDef& def, const RunOptions& opts,
                      const CurveCallback& on_curve) {
-  report::Figure figure(def.id, def.title, def.x_label, def.y_label,
-                        def.paper_claim);
+  report::Figure figure = NewRecord(def);
   for (std::size_t i = 0; i < def.curves.size(); ++i) {
     def.curves[i].run(figure, opts);
     if (on_curve) {
       on_curve(i, def.curves.size(), def.curves[i].name, figure);
     }
   }
+  FinalizeRecord(figure, opts);
+  return figure;
+}
+
+report::Figure NewRecord(const FigureDef& def) {
+  return report::Figure(def.id, def.title, def.x_label, def.y_label,
+                        def.paper_claim);
+}
+
+void FinalizeRecord(report::Figure& figure, const RunOptions& opts) {
   report::FinalizeMeta(figure);
   // Meta records the scale the figure actually ran at (the request's
   // quick flag), which for the bench binaries equals AMDMB_QUICK.
   figure.meta.quick = opts.quick;
   figure.meta.adaptive = opts.adaptive != nullptr;
-  return figure;
 }
 
 void NoteFaults(report::Figure& figure, const std::string& curve,

@@ -1,14 +1,13 @@
-// Registry of the paper's numbered figures as runnable definitions.
+// The figure definitions: the paper's numbered figures (the registry)
+// and the supplementary ones, as runnable definitions.
 //
-// Each bench binary used to own its figure inline: the metadata, the
-// per-curve sweep code, and the findings wiring lived in one lambda per
-// google-benchmark. That made a figure callable only by forking the
-// binary. This registry is the single source of truth instead: a
-// FigureDef carries the metadata plus one CurveDef per paper curve, the
-// bench binaries register their google-benchmarks from it
-// (bench::RunRegistryBenchMain), and the amdmb_serve daemon runs the
-// very same definitions for sweep requests — so a served figure
-// document is byte-identical to the one the standalone binary writes.
+// A FigureDef is the only way a figure gets built: it carries the
+// metadata plus one CurveDef per curve. Every bench binary registers its
+// google-benchmarks from one (bench::RunBenchMain), the amdmb_serve
+// daemon runs the very same definitions for sweep requests — so a
+// served figure document is byte-identical to the one the standalone
+// binary writes — and the condensed suite report reads its tables off
+// the registry's findings.
 #pragma once
 
 #include <cstddef>
@@ -62,13 +61,20 @@ struct FigureDef {
 /// emits them).
 const std::vector<FigureDef>& Registry();
 
+/// The figures beyond the paper's numbered ones: Table I, the
+/// block-size extension, and the four ablations. Their bench binaries
+/// build them like registry figures, but they are not served,
+/// benchmarked, or refined adaptively, and Find() does not see them.
+const std::vector<FigureDef>& Supplementary();
+
 /// Slug normalization for lookups: lower-cases, drops every
 /// non-alphanumeric character, and strips leading zeros from digit runs
 /// so "fig07", "fig_7", "Fig7" all name the same figure.
 std::string NormalizeSlug(std::string_view name);
 
-/// Finds a figure by (normalized) slug; nullptr when unknown.
-const FigureDef* Find(std::string_view name);
+/// Finds a figure of `defs` by (normalized) slug; nullptr when unknown.
+const FigureDef* Find(std::string_view name,
+                      const std::vector<FigureDef>& defs = Registry());
 
 /// Called after each curve completes: (curve index, curve count, curve
 /// name, the figure record built so far).
@@ -81,6 +87,12 @@ using CurveCallback = std::function<void(
 /// process environment.
 report::Figure Build(const FigureDef& def, const RunOptions& opts,
                      const CurveCallback& on_curve = {});
+
+/// The empty record `def`'s curves append to.
+report::Figure NewRecord(const FigureDef& def);
+
+/// Stamps the meta block of a record whose curves ran with `opts`.
+void FinalizeRecord(report::Figure& figure, const RunOptions& opts);
 
 /// Converts every non-ok point of `run` into a typed Degradation on the
 /// record, attributed to `curve`.

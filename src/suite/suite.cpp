@@ -1,10 +1,14 @@
 #include "suite/suite.hpp"
 
+#include <algorithm>
 #include <sstream>
+#include <utility>
 
+#include "common/status.hpp"
 #include "common/table.hpp"
 #include "exec/sweep_executor.hpp"
 #include "report/record.hpp"
+#include "suite/figures.hpp"
 
 namespace amdmb::suite {
 
@@ -14,12 +18,6 @@ std::vector<GpuArch> SelectArchs(const SuiteOptions& options) {
   if (options.arch_filter.empty()) return AllArchs();
   return {ArchByName(options.arch_filter)};
 }
-
-/// One curve's table row plus any degradations from its sweeps.
-struct CurveRow {
-  std::vector<std::string> row;
-  std::vector<report::Degradation> degradations;
-};
 
 /// Table cell for a finding's value: fixed-precision number, ">sweep"
 /// for a censored crossover, "n/a" when the finding is absent (the
@@ -37,22 +35,52 @@ std::string IntCell(const report::Finding* finding) {
   return std::to_string(static_cast<unsigned>(*finding->value));
 }
 
+/// One registry curve run into its own record.
+struct CurveRecord {
+  std::string name;
+  report::Figure record;
+};
+
+/// The curves of registry figure `slug` whose names are in `names`, in
+/// registry order. Curves fan out across the worker pool; each curve's
+/// own sweeps then run inline on its worker (nested sweeps execute
+/// serially), so the records are bit-identical at any thread count.
+std::vector<CurveRecord> RunCurves(std::string_view slug,
+                                   const std::vector<std::string>& names,
+                                   const figures::RunOptions& opts) {
+  const figures::FigureDef* def = figures::Find(slug);
+  Check(def != nullptr, "suite report: registry figure missing");
+  std::vector<const figures::CurveDef*> curves;
+  for (const figures::CurveDef& curve : def->curves) {
+    if (std::find(names.begin(), names.end(), curve.name) != names.end()) {
+      curves.push_back(&curve);
+    }
+  }
+  return exec::SweepExecutor::Default().Map(
+      curves.size(), [&](std::size_t i) {
+        CurveRecord out{curves[i]->name, figures::NewRecord(*def)};
+        curves[i]->run(out.record, opts);
+        return out;
+      });
+}
+
 }  // namespace
 
 std::string RunFullSuiteReport(const SuiteOptions& options) {
   std::ostringstream os;
-  const std::vector<GpuArch> archs = SelectArchs(options);
-  const Domain domain =
-      options.quick ? Domain{256, 256} : Domain{1024, 1024};
-  const unsigned reps = kPaperRepetitions;
-  // Curves fan out across the worker pool; each curve's own point sweep
-  // then runs inline on its worker (nested sweeps execute serially), so
-  // the report is bit-identical at any thread count.
-  const exec::SweepExecutor& executor = exec::SweepExecutor::Default();
+  const std::vector<CurveKey> keys =
+      PaperCurves(true, true, SelectArchs(options));
+  std::vector<std::string> names;
+  for (const CurveKey& key : keys) names.push_back(key.Name());
+  figures::RunOptions opts;
+  opts.quick = options.quick;
   // Non-ok sweep points across every section; printed as a trailing
   // "Fault annotations" block only when at least one point degraded, so
   // a fault-free run renders byte-identically to earlier releases.
   std::vector<report::Degradation> degradations;
+  const auto note = [&](const std::vector<report::Degradation>& more) {
+    degradations.insert(degradations.end(), more.begin(), more.end());
+  };
 
   os << RenderHardwareTable() << "\n";
 
@@ -60,38 +88,18 @@ std::string RunFullSuiteReport(const SuiteOptions& options) {
   {
     TextTable table({"Curve", "Crossover ratio", "Flat-region time (s)",
                      "Time at max ratio (s)"});
-    AluFetchConfig config;
-    config.domain = domain;
-    config.repetitions = reps;
-    if (options.quick) config.ratio_step = 1.0;
-    const std::vector<CurveKey> curves = PaperCurves(true, true, archs);
-    const auto rows =
-        executor.Map(curves.size(), [&](std::size_t i) {
-          const CurveKey& key = curves[i];
-          const Runner runner(key.arch);
-          const AluFetchResult r =
-              RunAluFetch(runner, key.mode, key.type, config);
-          const auto findings = Findings(r, key.Name());
-          CurveRow out;
-          out.degradations = report::DegradationsFrom(r.report, key.Name());
-          out.row = {key.Name(),
-                     Cell(report::FindFinding(findings,
-                                              "alu_bound_crossover"),
-                          2, ">sweep"),
-                     Cell(report::FindFinding(findings,
-                                              "fetch_bound_flat_seconds"),
-                          2),
-                     Cell(report::FindFinding(findings, "max_ratio_seconds"),
-                          2)};
-          // An empty sweep has no crossover finding at all; the legacy
-          // report still printed ">sweep" for that column.
-          if (findings.empty()) out.row[1] = ">sweep";
-          return out;
-        });
-    for (const CurveRow& cr : rows) {
-      table.AddRow(cr.row);
-      degradations.insert(degradations.end(), cr.degradations.begin(),
-                          cr.degradations.end());
+    for (const CurveRecord& c : RunCurves("fig_7", names, opts)) {
+      const std::vector<report::Finding>& f = c.record.findings;
+      // An empty sweep has no findings at all; its crossover still
+      // reads ">sweep".
+      const report::Finding* crossover =
+          report::FindFinding(f, "alu_bound_crossover");
+      table.AddRow(
+          {c.name,
+           crossover == nullptr ? ">sweep" : Cell(crossover, 2, ">sweep"),
+           Cell(report::FindFinding(f, "fetch_bound_flat_seconds"), 2),
+           Cell(report::FindFinding(f, "max_ratio_seconds"), 2)});
+      note(c.record.degradations);
     }
     os << "ALU:Fetch ratio micro-benchmark (paper Fig. 7)\n"
        << "Paper claim: float crosses to ALU-bound far earlier than float4; "
@@ -102,34 +110,15 @@ std::string RunFullSuiteReport(const SuiteOptions& options) {
   // --- Read latency slopes (Figs. 11-12 condensed) ----------------------
   {
     TextTable table({"Curve", "Path", "sec/input", "R^2"});
-    for (const ReadPath path : {ReadPath::kTexture, ReadPath::kGlobal}) {
-      ReadLatencyConfig config;
-      config.domain = domain;
-      config.repetitions = reps;
-      config.read_path = path;
-      if (options.quick) config.max_inputs = 8;
-      const std::vector<CurveKey> curves = PaperCurves(true, true, archs);
-      const auto rows =
-          executor.Map(curves.size(), [&](std::size_t i) {
-            const CurveKey& key = curves[i];
-            const Runner runner(key.arch);
-            const ReadLatencyResult r =
-                RunReadLatency(runner, key.mode, key.type, config);
-            const auto findings = Findings(r, key.Name());
-            CurveRow out;
-            out.degradations =
-                report::DegradationsFrom(r.report, key.Name());
-            out.row = {key.Name(), std::string(ToString(path)),
-                       Cell(report::FindFinding(findings,
-                                                "seconds_per_input"),
-                            3),
-                       Cell(report::FindFinding(findings, "fit_r2"), 3)};
-            return out;
-          });
-      for (const CurveRow& cr : rows) {
-        table.AddRow(cr.row);
-        degradations.insert(degradations.end(), cr.degradations.begin(),
-                            cr.degradations.end());
+    for (const auto& [slug, path] :
+         {std::pair{"fig_11", ReadPath::kTexture},
+          std::pair{"fig_12", ReadPath::kGlobal}}) {
+      for (const CurveRecord& c : RunCurves(slug, names, opts)) {
+        const std::vector<report::Finding>& f = c.record.findings;
+        table.AddRow({c.name, std::string(ToString(path)),
+                      Cell(report::FindFinding(f, "seconds_per_input"), 3),
+                      Cell(report::FindFinding(f, "fit_r2"), 3)});
+        note(c.record.degradations);
       }
     }
     os << "Read latency micro-benchmarks (paper Figs. 11-12)\n"
@@ -142,41 +131,15 @@ std::string RunFullSuiteReport(const SuiteOptions& options) {
   // --- Write latency slopes (Figs. 13-14 condensed) ---------------------
   {
     TextTable table({"Curve", "Path", "sec/output", "R^2"});
-    for (const WritePath path : {WritePath::kStream, WritePath::kGlobal}) {
-      WriteLatencyConfig config;
-      config.domain = domain;
-      config.repetitions = reps;
-      config.write_path = path;
-      std::vector<CurveKey> curves;
-      for (const CurveKey& key : PaperCurves(
-               /*include_pixel=*/true,
-               /*include_compute=*/path == WritePath::kGlobal, archs)) {
-        if (path == WritePath::kStream && key.mode == ShaderMode::kCompute) {
-          continue;  // Compute mode has no color buffers (Sec. IV-C).
-        }
-        curves.push_back(key);
-      }
-      const auto rows =
-          executor.Map(curves.size(), [&](std::size_t i) {
-            const CurveKey& key = curves[i];
-            const Runner runner(key.arch);
-            const WriteLatencyResult r =
-                RunWriteLatency(runner, key.mode, key.type, config);
-            const auto findings = Findings(r, key.Name());
-            CurveRow out;
-            out.degradations =
-                report::DegradationsFrom(r.report, key.Name());
-            out.row = {key.Name(), std::string(ToString(path)),
-                       Cell(report::FindFinding(findings,
-                                                "seconds_per_output"),
-                            3),
-                       Cell(report::FindFinding(findings, "fit_r2"), 3)};
-            return out;
-          });
-      for (const CurveRow& cr : rows) {
-        table.AddRow(cr.row);
-        degradations.insert(degradations.end(), cr.degradations.begin(),
-                            cr.degradations.end());
+    for (const auto& [slug, path] :
+         {std::pair{"fig_13", WritePath::kStream},
+          std::pair{"fig_14", WritePath::kGlobal}}) {
+      for (const CurveRecord& c : RunCurves(slug, names, opts)) {
+        const std::vector<report::Finding>& f = c.record.findings;
+        table.AddRow({c.name, std::string(ToString(path)),
+                      Cell(report::FindFinding(f, "seconds_per_output"), 3),
+                      Cell(report::FindFinding(f, "fit_r2"), 3)});
+        note(c.record.degradations);
       }
     }
     os << "Write latency micro-benchmarks (paper Figs. 13-14)\n"
@@ -190,51 +153,38 @@ std::string RunFullSuiteReport(const SuiteOptions& options) {
   {
     TextTable table({"Curve", "GPR max", "time (s)", "GPR min", "time (s)",
                      "control flat?"});
-    RegisterUsageConfig config;
-    config.repetitions = reps;
-    if (options.quick) config.domain = Domain{256, 256};
-    const std::vector<CurveKey> curves = PaperCurves(true, true, archs);
-    const auto rows =
-        executor.Map(curves.size(), [&](std::size_t i) {
-          const CurveKey& key = curves[i];
-          const Runner runner(key.arch);
-          const RegisterUsageResult sweep =
-              RunRegisterUsage(runner, key.mode, key.type, config);
-          RegisterUsageConfig control_config = config;
-          control_config.clause_control = true;
-          control_config.min_step = 0;
-          control_config.max_step = config.max_step;
-          const RegisterUsageResult control =
-              RunRegisterUsage(runner, key.mode, key.type, control_config);
-          const auto findings = Findings(sweep, key.Name());
-          const auto control_findings =
-              ControlFindings(control, key.Name() + " control");
-          CurveRow out;
-          out.degradations =
-              report::DegradationsFrom(sweep.report, key.Name());
-          const auto control_degradations = report::DegradationsFrom(
-              control.report, key.Name() + " control");
-          out.degradations.insert(out.degradations.end(),
-                                  control_degradations.begin(),
-                                  control_degradations.end());
-          std::string flat = "n/a";
-          if (const report::Finding* variation =
-                  report::FindFinding(control_findings, "level_variation")) {
-            flat = *variation->value < 0.2 ? "yes" : "NO";
-          }
-          out.row = {
-              key.Name(),
-              IntCell(report::FindFinding(findings, "gpr_max")),
-              Cell(report::FindFinding(findings, "gpr_max_seconds"), 2),
-              IntCell(report::FindFinding(findings, "gpr_min")),
-              Cell(report::FindFinding(findings, "gpr_min_seconds"), 2),
-              flat};
-          return out;
+    const std::vector<CurveRecord> sweeps = RunCurves("fig_16", names, opts);
+    Check(sweeps.size() == keys.size(),
+          "suite report: Fig. 16 curves do not match the paper curves");
+    // The Fig. 5 clause-usage control is not a registry curve: it keeps
+    // its own sweep, at the scale of the Fig. 16 sweep it controls.
+    RegisterUsageConfig control_config;
+    control_config.clause_control = true;
+    if (options.quick) control_config.domain = Domain{256, 256};
+    const auto controls = exec::SweepExecutor::Default().Map(
+        keys.size(), [&](std::size_t i) {
+          const Runner runner(keys[i].arch);
+          return RunRegisterUsage(runner, keys[i].mode, keys[i].type,
+                                  control_config);
         });
-    for (const CurveRow& cr : rows) {
-      table.AddRow(cr.row);
-      degradations.insert(degradations.end(), cr.degradations.begin(),
-                          cr.degradations.end());
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      const CurveRecord& c = sweeps[i];
+      const std::vector<report::Finding>& f = c.record.findings;
+      const std::vector<report::Finding> control_findings =
+          ControlFindings(controls[i], c.name + " control");
+      std::string flat = "n/a";
+      if (const report::Finding* variation =
+              report::FindFinding(control_findings, "level_variation")) {
+        flat = *variation->value < 0.2 ? "yes" : "NO";
+      }
+      table.AddRow({c.name, IntCell(report::FindFinding(f, "gpr_max")),
+                    Cell(report::FindFinding(f, "gpr_max_seconds"), 2),
+                    IntCell(report::FindFinding(f, "gpr_min")),
+                    Cell(report::FindFinding(f, "gpr_min_seconds"), 2),
+                    flat});
+      note(c.record.degradations);
+      note(report::DegradationsFrom(controls[i].report,
+                                    c.name + " control"));
     }
     os << "Register usage micro-benchmark (paper Fig. 16 + Fig. 5 control)\n"
        << "Paper claim: lowering register pressure raises occupancy and "

@@ -25,7 +25,9 @@ struct SuiteOptions {
 /// Runs a condensed version of every micro-benchmark on the selected
 /// GPUs and renders a textual report: crossovers, latency slopes, and
 /// register-pressure effects, each with the paper's qualitative claim
-/// alongside.
+/// alongside. The tables are read off the findings of the registry's
+/// Fig. 7, 11-14 and 16 curves (suite/figures.hpp) for the selected
+/// GPUs; only the Fig. 5 clause-usage control runs its own sweep.
 std::string RunFullSuiteReport(const SuiteOptions& options);
 
 }  // namespace amdmb::suite

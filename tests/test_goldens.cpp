@@ -8,6 +8,11 @@
 // GoldenWarmCache repeats the registry in one process against the shared
 // kernel cache, so later documents come from remembered launches.
 //
+// The supplementary figures (Table I, the block-size extension, the four
+// ablations) get the same oracle at quick scale, densely, against
+// tests/reference/supplementary.txt: digests of the documents their
+// bench binaries wrote before those binaries were rebuilt on FigureDef.
+//
 // Documents record AMDMB_THREADS and the AMDMB_* knobs in their meta
 // block, so main() pins the environment the reference was built under
 // (no knobs, two sweep threads) before anything reads it.
@@ -52,6 +57,21 @@ const perfbench::DigestTable& Reference() {
   static const perfbench::DigestTable table =
       perfbench::LoadDigests(AMDMB_REFERENCE_DIR "/figures.txt");
   return table;
+}
+
+const perfbench::DigestTable& SupplementaryReference() {
+  static const perfbench::DigestTable table =
+      perfbench::LoadDigests(AMDMB_SUPPLEMENTARY_REFERENCE);
+  return table;
+}
+
+std::vector<std::string> SupplementarySlugs() {
+  std::vector<std::string> slugs;
+  for (const suite::figures::FigureDef& def :
+       suite::figures::Supplementary()) {
+    slugs.push_back(def.slug);
+  }
+  return slugs;
 }
 
 /// Builds one registry document and checks its digest against the
@@ -102,6 +122,34 @@ TEST(GoldenWarmCache, EveryDocumentMatchesWhenServedFromRememberedLaunches) {
 TEST(GoldenReference, CoversExactlyTheRegistry) {
   EXPECT_EQ(Reference().size(), RegistryCases().size());
 }
+
+class SupplementaryGoldenTest : public ::testing::TestWithParam<std::string> {
+};
+
+TEST_P(SupplementaryGoldenTest, BenchJsonMatchesReferenceDigest) {
+  const auto expected = SupplementaryReference().find(GetParam());
+  ASSERT_NE(expected, SupplementaryReference().end())
+      << "no reference digest for " << GetParam();
+  const suite::figures::FigureDef* def =
+      suite::figures::Find(GetParam(), suite::figures::Supplementary());
+  ASSERT_NE(def, nullptr);
+  suite::figures::RunOptions run;
+  run.quick = true;
+  const std::string json =
+      report::BenchJson(suite::figures::Build(*def, run));
+  EXPECT_EQ(perfbench::DocumentDigest(json), expected->second);
+}
+
+TEST(SupplementaryGoldenReference, CoversExactlyTheSupplementaryFigures) {
+  EXPECT_EQ(SupplementaryReference().size(), SupplementarySlugs().size());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Supplementary, SupplementaryGoldenTest,
+    ::testing::ValuesIn(SupplementarySlugs()),
+    [](const ::testing::TestParamInfo<std::string>& info) {
+      return info.param;
+    });
 
 INSTANTIATE_TEST_SUITE_P(
     Registry, GoldenTest, ::testing::ValuesIn(RegistryCases()),

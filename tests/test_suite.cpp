@@ -2,7 +2,13 @@
 // detection, figure assembly, and the optimisation advisor.
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "common/status.hpp"
+#include "exec/kernel_cache.hpp"
+#include "fault/fault.hpp"
+#include "report/json_sink.hpp"
+#include "suite/figures.hpp"
 #include "suite/suite.hpp"
 
 namespace amdmb::suite {
@@ -204,6 +210,56 @@ TEST(SuiteReportTest, QuickReportMentionsEveryFigure) {
         "4870 Pixel Float"}) {
     EXPECT_NE(report.find(needle), std::string::npos) << needle;
   }
+}
+
+TEST(SupplementaryFiguresTest, SlugsMatchIdsAndStayOutOfTheRegistry) {
+  for (const figures::FigureDef& def : figures::Supplementary()) {
+    EXPECT_EQ(def.slug, report::FigureSlug(def.id));
+    EXPECT_EQ(figures::Find(def.slug), nullptr) << def.slug;
+    EXPECT_EQ(figures::Find(def.slug, figures::Supplementary()), &def);
+  }
+}
+
+// An interrupted bench binary cancels its sweeps: a supplementary figure
+// built with an already-cancelled token must not measure a single point.
+TEST(SupplementaryFiguresTest, CancelledBuildMeasuresNoPoint) {
+  exec::CancelToken cancelled;
+  cancelled.Cancel();
+  figures::RunOptions opts;
+  opts.quick = true;
+  opts.cancel = &cancelled;
+  const exec::KernelCache& cache = exec::KernelCache::Shared();
+  for (const figures::FigureDef& def : figures::Supplementary()) {
+    SCOPED_TRACE(def.slug);
+    const exec::KernelCacheStats before = cache.Stats();
+    const report::Figure figure = figures::Build(def, opts);
+    const exec::KernelCacheStats after = cache.Stats();
+    EXPECT_EQ(after.hits + after.misses, before.hits + before.misses);
+    for (const Series& series : figure.set.All()) {
+      EXPECT_TRUE(series.Points().empty()) << series.Name();
+    }
+  }
+}
+
+// The row-locality ablation runs through suite::Sweep with one fault-
+// schedule name per (shape, penalty) point: injected launch faults
+// degrade individual points instead of escaping as a CalError.
+TEST(SupplementaryFiguresTest, RowLocalityDegradesUnderLaunchFaults) {
+  const figures::FigureDef* def = figures::Find(
+      "ablation_dram_row_activation_penalty_on_fills",
+      figures::Supplementary());
+  ASSERT_NE(def, nullptr);
+  const fault::ScopedFaultInjector faults("launch:0.5,seed=7");
+  figures::RunOptions opts;
+  opts.quick = true;
+  opts.retry = exec::RetryPolicy{};
+  opts.retry.backoff_base_ms = 0.0;
+  std::optional<report::Figure> figure;
+  ASSERT_NO_THROW(figure.emplace(figures::Build(*def, opts)));
+  // 3 shapes x 5 penalties. Under one shared schedule name every point
+  // would draw the same faults: all of them degraded, or none.
+  EXPECT_GT(figure->degradations.size(), 0u);
+  EXPECT_LT(figure->degradations.size(), 15u);
 }
 
 }  // namespace

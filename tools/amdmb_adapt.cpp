@@ -17,7 +17,8 @@
 //       Builds the 2D ALU:Fetch x register-step bottleneck frontier map
 //       (adapt/frontier.hpp) and prints it through the text sink, or as
 //       BENCH JSON with --json. AMDMB_JSON_DIR / AMDMB_DUMP_DIR write
-//       the document and the pm3d heatmap exactly like a bench binary.
+//       the document, its CSV and the pm3d heatmap exactly like a bench
+//       binary (the same report::WriteConfiguredSinks).
 //   --list
 //       Prints every registry figure slug usable with `figure`.
 #include <algorithm>
@@ -33,10 +34,8 @@
 #include "common/status.hpp"
 #include "common/table.hpp"
 #include "common/version.hpp"
-#include "report/csv_sink.hpp"
-#include "report/gnuplot_sink.hpp"
 #include "report/json_sink.hpp"
-#include "report/text_sink.hpp"
+#include "report/sink.hpp"
 #include "suite/alu_fetch.hpp"
 #include "suite/figures.hpp"
 #include "suite/microbench.hpp"
@@ -260,26 +259,9 @@ int RunFrontier(bool dense, bool quick, std::uint64_t budget, bool json) {
     config.repetitions = 50;
   }
   const report::Figure figure = adapt::BuildFrontierFigure(config);
-  if (json) {
-    std::cout << report::BenchJson(figure);
-  } else {
-    report::TextSink(std::cout).Write(figure);
-  }
-  const env::Options& options = env::Get();
-  if (options.dump_dir) {
-    report::GnuplotSink sink(*options.dump_dir);
-    sink.Write(figure);
-    for (const auto& path : sink.Written()) {
-      std::cerr << sink.Label() << ": " << path.string() << "\n";
-    }
-  }
-  if (options.json_dir) {
-    report::JsonSink sink(*options.json_dir);
-    sink.Write(figure);
-    for (const auto& path : sink.Written()) {
-      std::cerr << sink.Label() << ": " << path.string() << "\n";
-    }
-  }
+  if (json) std::cout << report::BenchJson(figure);
+  report::WriteConfiguredSinks(figure, json ? nullptr : &std::cout,
+                               std::cerr);
   return 0;
 }
 
