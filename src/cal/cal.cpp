@@ -31,10 +31,12 @@ RunEvent Context::Run(const Module& module, const sim::LaunchConfig& config,
     bounded.watchdog_cycles = sim::DefaultWatchdogCycles();
   }
   // A fresh collector per call: a retried attempt starts from zeroed
-  // counters, so retries can never double-count.
+  // counters, so retries can never double-count. RunEvent::profile hands
+  // the caller the whole record, timeline included.
   std::unique_ptr<prof::Collector> collector;
   if (bounded.profile || prof::ProfilingEnabled()) {
-    collector = std::make_unique<prof::Collector>(sim::DefaultTraceCapacity());
+    collector = std::make_unique<prof::Collector>(sim::DefaultTraceCapacity(),
+                                                  prof::Timeline::kKeep);
   }
   RunEvent event;
   try {

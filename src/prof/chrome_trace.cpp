@@ -100,11 +100,15 @@ std::string TraceFileName(const Profile& profile) {
   return stem + ".trace.json";
 }
 
-std::string WriteChromeTrace(const Profile& profile,
-                             const std::string& dir) {
+std::string TracePath(const Profile& profile, const std::string& dir) {
   std::string path = dir;
   if (!path.empty() && path.back() != '/') path.push_back('/');
-  path += TraceFileName(profile);
+  return path + TraceFileName(profile);
+}
+
+std::string WriteChromeTrace(const Profile& profile,
+                             const std::string& dir) {
+  const std::string path = TracePath(profile, dir);
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   Require(out.good(),
           "AMDMB_TRACE_DIR: cannot open '" + path + "' for writing");

@@ -5,7 +5,9 @@
 // metadata rows name the tracks. Timestamps are simulated cycles mapped
 // 1:1 onto trace microseconds.
 //
-// Gated by AMDMB_PROF + AMDMB_TRACE_DIR; see prof::TraceDirectory().
+// Gated by AMDMB_PROF + AMDMB_TRACE_DIR; see prof::TraceDirectory(). A
+// profile carries the clause events and occupancy samples only when a
+// trace directory was set while it was collected.
 #pragma once
 
 #include <string>
@@ -24,7 +26,10 @@ std::string ChromeTraceJson(const Profile& profile);
 /// when sweeps write in parallel.
 std::string TraceFileName(const Profile& profile);
 
-/// Writes ChromeTraceJson(profile) to `dir`/TraceFileName(profile) and
+/// `dir`/TraceFileName(profile): where WriteChromeTrace puts the trace.
+std::string TracePath(const Profile& profile, const std::string& dir);
+
+/// Writes ChromeTraceJson(profile) to TracePath(profile, dir) and
 /// returns the path. Throws ConfigError when the file cannot be written.
 std::string WriteChromeTrace(const Profile& profile, const std::string& dir);
 

@@ -29,26 +29,36 @@ namespace amdmb::prof {
 /// entry points of mem::MemoryController).
 enum class DramOp : unsigned { kFill, kRead, kWrite, kStream };
 
+/// Whether a Collector keeps the timeline (Profile::events and
+/// Profile::occupancy), which only the Chrome-trace exporter reads.
+enum class Timeline : unsigned { kDrop, kKeep };
+
 class Collector {
  public:
-  /// `event_capacity` bounds the Chrome-trace event list (and the
-  /// occupancy timeline) exactly like sim::Trace bounds its events;
-  /// drops are counted, never silent.
-  explicit Collector(std::size_t event_capacity)
-      : capacity_(event_capacity) {}
+  /// `event_capacity` bounds the clause-event list and, separately, the
+  /// occupancy timeline, exactly like sim::Trace bounds its events.
+  /// Clause events past the cap are counted in Profile::dropped_events;
+  /// occupancy samples past it are dropped without a count. With
+  /// Timeline::kDrop both lists stay empty, but clause events are still
+  /// counted against the cap, so dropped_events and every counter and
+  /// aggregate equal those of a kKeep collector on the same launch.
+  Collector(std::size_t event_capacity, Timeline timeline)
+      : capacity_(event_capacity),
+        keep_timeline_(timeline == Timeline::kKeep) {}
 
   // ---- sim/gpu hooks ----------------------------------------------------
   /// Every executed clause (ALU clauses per interleave chunk), with its
-  /// queueing/service timeline — feeds the Chrome trace and the
-  /// per-clause-type aggregates.
+  /// queueing/service timeline — feeds the per-clause-type aggregates
+  /// and, when the timeline is kept, the Chrome trace.
   void OnClause(const sim::TraceEvent& event) {
     ClauseAgg& agg =
         profile_.clauses[static_cast<std::size_t>(event.type)];
     ++agg.events;
     agg.queue_cycles += event.start - event.issue;
     agg.service_cycles += event.complete - event.start;
-    if (profile_.events.size() < capacity_) {
-      profile_.events.push_back(event);
+    if (events_within_cap_ < capacity_) {
+      ++events_within_cap_;
+      if (keep_timeline_) profile_.events.push_back(event);
     } else {
       ++profile_.dropped_events;
     }
@@ -74,7 +84,7 @@ class Collector {
 
   /// Resident-wavefront count of `simd` changed at event time `t`.
   void OnOccupancy(Cycles t, unsigned simd, unsigned resident) {
-    if (profile_.occupancy.size() < capacity_) {
+    if (keep_timeline_ && profile_.occupancy.size() < capacity_) {
       profile_.occupancy.push_back(OccupancySample{
           t, static_cast<std::uint16_t>(simd), resident});
     }
@@ -169,6 +179,8 @@ class Collector {
   }
 
   std::size_t capacity_;
+  bool keep_timeline_;
+  std::size_t events_within_cap_ = 0;
   Profile profile_;
 };
 

@@ -1,6 +1,8 @@
 #include "prof/profile.hpp"
 
+#include <optional>
 #include <sstream>
+#include <utility>
 
 #include "common/env.hpp"
 #include "common/table.hpp"
@@ -58,8 +60,22 @@ std::string Profile::Render() const {
 
 bool ProfilingEnabled() { return env::Get().prof; }
 
+namespace {
+
+std::optional<std::string>& TraceDirectoryOverride() {
+  static std::optional<std::string> dir;
+  return dir;
+}
+
+}  // namespace
+
 std::string TraceDirectory() {
+  if (const auto& dir = TraceDirectoryOverride()) return *dir;
   return env::Get().trace_dir.value_or(std::string());
+}
+
+void SetTraceDirectory(std::string dir) {
+  TraceDirectoryOverride() = std::move(dir);
 }
 
 }  // namespace amdmb::prof

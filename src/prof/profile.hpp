@@ -95,9 +95,13 @@ struct Profile {
   std::vector<SimdBusy> per_simd;
   std::vector<std::uint64_t> row_switches_per_bank;
   std::vector<CacheSetStats> per_cache_set;
+  /// The timeline: the Chrome trace's source, capped, and empty unless
+  /// the collector kept it (prof::Timeline::kKeep).
   std::vector<OccupancySample> occupancy;
-  std::vector<sim::TraceEvent> events;  ///< Chrome-trace source, capped.
-  std::uint64_t dropped_events = 0;     ///< Events past the trace cap.
+  std::vector<sim::TraceEvent> events;
+  /// Clause events past the cap, counted whether or not the timeline
+  /// was kept.
+  std::uint64_t dropped_events = 0;
 
   Attribution attribution;
 
@@ -118,8 +122,15 @@ struct Profile {
 /// also opt in explicitly via LaunchConfig::profile).
 bool ProfilingEnabled();
 
-/// The AMDMB_TRACE_DIR Chrome-trace output directory; empty when traces
-/// are not requested. Only consulted when profiling is active.
+/// The Chrome-trace output directory: the last SetTraceDirectory value,
+/// else AMDMB_TRACE_DIR; empty when traces are not requested. Only
+/// consulted when profiling is active. A profiled launch keeps its
+/// timeline (Profile::events / occupancy) exactly when this is non-empty.
 std::string TraceDirectory();
+
+/// Overrides AMDMB_TRACE_DIR for the rest of the process (empty = no
+/// traces); how amdmb_prof --trace-dir and tests reach the same export
+/// path. Call it while no sweep is running.
+void SetTraceDirectory(std::string dir);
 
 }  // namespace amdmb::prof

@@ -147,6 +147,27 @@ KernelStats Gpu::Execute(const isa::Program& program,
     }
   }
   std::vector<std::vector<mem::LineId>> lines_scratch(max_clause_fetches);
+  // VLIW slots each ALU chunk issues, summed once per launch for the
+  // collector's slot counter. Chunks start at multiples of
+  // kAluInterleaveBundles, so chunk k of clause c is
+  // chunk_slots[chunk_base[c] + k].
+  std::vector<std::size_t> chunk_base;
+  std::vector<std::uint64_t> chunk_slots;
+  if (collector != nullptr) {
+    chunk_base.reserve(program.clauses.size());
+    for (const isa::Clause& c : program.clauses) {
+      chunk_base.push_back(chunk_slots.size());
+      if (c.type != isa::ClauseType::kAlu) continue;
+      // One entry past the last full chunk covers a partial (or empty)
+      // final chunk.
+      chunk_slots.resize(
+          chunk_slots.size() + c.bundles.size() / kAluInterleaveBundles + 1);
+      for (std::size_t b = 0; b < c.bundles.size(); ++b) {
+        chunk_slots[chunk_base.back() + b / kAluInterleaveBundles] +=
+            c.bundles[b].SlotCount();
+      }
+    }
+  }
   Cycles t_end = 0;
   Cycles fetch_wait = 0;  // Wavefront time spent inside fetch clauses.
 
@@ -182,12 +203,10 @@ KernelStats Gpu::Execute(const isa::Program& program,
                                          static_cast<std::uint16_t>(e.simd),
                                          static_cast<std::uint16_t>(e.clause),
                                          clause.type});
-          std::uint64_t used = 0;
-          for (unsigned b = 0; b < chunk; ++b) {
-            used += clause.bundles[e.bundles_done + b].SlotCount();
-          }
           collector->OnAluSlots(
-              chunk, used,
+              chunk,
+              chunk_slots[chunk_base[e.clause] +
+                          e.bundles_done / kAluInterleaveBundles],
               static_cast<std::uint64_t>(chunk) * arch_.vliw_width);
         }
         if (e.bundles_done + chunk < total) {

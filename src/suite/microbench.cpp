@@ -33,10 +33,15 @@ Measurement Runner::Measure(const il::Kernel& kernel,
     bounded.watchdog_cycles = sim::DefaultWatchdogCycles();
   }
   // A fresh collector per attempt: counters restart from zero, so the
-  // retry layer can never double-count a retried point.
+  // retry layer can never double-count a retried point. It keeps the
+  // clause timeline only when a Chrome trace will be written from it.
   std::unique_ptr<prof::Collector> collector;
+  std::string trace_dir;
   if (bounded.profile || prof::ProfilingEnabled()) {
-    collector = std::make_unique<prof::Collector>(sim::DefaultTraceCapacity());
+    trace_dir = prof::TraceDirectory();
+    collector = std::make_unique<prof::Collector>(
+        sim::DefaultTraceCapacity(),
+        trace_dir.empty() ? prof::Timeline::kDrop : prof::Timeline::kKeep);
   }
   // Launches are remembered next to their program, but never when a
   // collector needs the simulation itself to run.
@@ -71,9 +76,7 @@ Measurement Runner::Measure(const il::Kernel& kernel,
     // Export before publishing: a parallel sweep writes each point's
     // trace from its own worker, and the arch/mode/type-qualified file
     // name keeps concurrent curves from colliding.
-    if (const std::string dir = prof::TraceDirectory(); !dir.empty()) {
-      prof::WriteChromeTrace(profile, dir);
-    }
+    if (!trace_dir.empty()) prof::WriteChromeTrace(profile, trace_dir);
     m.profile = std::make_shared<const prof::Profile>(std::move(profile));
   }
   return m;

@@ -54,11 +54,13 @@ class Runner {
   /// surfaces as a cal::CalError carrying the stage, point, and attempt.
   /// When profiling is on (config.profile or AMDMB_PROF) a fresh
   /// prof::Collector rides the launch — Measurement::profile is filled,
-  /// and with AMDMB_TRACE_DIR set the launch's Chrome trace is written
-  /// there before the measurement returns. With a cache and no
-  /// collector, a launch that already succeeded with this exact program,
-  /// arch and bounded config returns the remembered KernelStats instead
-  /// of re-simulating; the fault boundaries are checked either way.
+  /// and with a trace directory set (prof::TraceDirectory) the launch's
+  /// Chrome trace is written there before the measurement returns. The
+  /// profile carries the clause/occupancy timeline only in that case.
+  /// With a cache and no collector, a launch that already succeeded with
+  /// this exact program, arch and bounded config returns the remembered
+  /// KernelStats instead of re-simulating; the fault boundaries are
+  /// checked either way.
   Measurement Measure(const il::Kernel& kernel,
                       const sim::LaunchConfig& config,
                       const MeasureContext& ctx = {}) const;

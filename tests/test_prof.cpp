@@ -1,9 +1,14 @@
 // Profiler subsystem tests: counter registry, collector determinism
-// (thread widths, fault retries), counter-based bottleneck attribution
-// cross-checked against the heuristic classifier, Chrome-trace export
-// (golden document), and profile JSON round-trips.
+// (thread widths, fault retries), exact VLIW slot counters, timeline-free
+// collectors counting exactly like timeline ones, counter-based
+// bottleneck attribution cross-checked against the heuristic classifier,
+// Chrome-trace export (golden document), and profile JSON round-trips.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -28,6 +33,51 @@ isa::Program SmallProgram(const GpuArch& arch) {
   spec.inputs = 4;
   spec.alu_ops = 70;  // > one interleave chunk: multiple ALU events/wave.
   return compiler::Compile(suite::GenerateGeneric(spec), arch);
+}
+
+/// Points prof::TraceDirectory() at a fresh temporary directory (or,
+/// with `enabled` false, at none) for one scope, then restores it.
+class ScopedTraceDirectory {
+ public:
+  explicit ScopedTraceDirectory(bool enabled) : before_(TraceDirectory()) {
+    if (enabled) {
+      dir_ = std::filesystem::path(::testing::TempDir()) /
+             ("amdmb_prof_traces_" + std::to_string(::getpid()));
+      std::filesystem::remove_all(dir_);
+      std::filesystem::create_directories(dir_);
+    }
+    SetTraceDirectory(dir_.string());
+  }
+  ~ScopedTraceDirectory() {
+    SetTraceDirectory(before_);
+    if (!dir_.empty()) std::filesystem::remove_all(dir_);
+  }
+  ScopedTraceDirectory(const ScopedTraceDirectory&) = delete;
+  ScopedTraceDirectory& operator=(const ScopedTraceDirectory&) = delete;
+
+  const std::filesystem::path& Path() const { return dir_; }
+
+ private:
+  std::string before_;
+  std::filesystem::path dir_;
+};
+
+/// Everything a profile records apart from its timeline (events and
+/// occupancy) must match.
+void ExpectEqualApartFromTimeline(const Profile& a, const Profile& b) {
+  EXPECT_EQ(a.kernel, b.kernel);
+  EXPECT_EQ(a.point, b.point);
+  EXPECT_EQ(a.arch, b.arch);
+  EXPECT_EQ(a.mode, b.mode);
+  EXPECT_EQ(a.type, b.type);
+  EXPECT_EQ(a.attempt, b.attempt);
+  EXPECT_EQ(a.counters, b.counters);
+  EXPECT_EQ(a.clauses, b.clauses);
+  EXPECT_EQ(a.per_simd, b.per_simd);
+  EXPECT_EQ(a.row_switches_per_bank, b.row_switches_per_bank);
+  EXPECT_EQ(a.per_cache_set, b.per_cache_set);
+  EXPECT_EQ(a.dropped_events, b.dropped_events);
+  EXPECT_EQ(a.attribution, b.attribution);
 }
 
 /// One profiled launch through the suite Runner (the CAL path).
@@ -62,7 +112,7 @@ TEST(CollectorTest, DoesNotPerturbKernelStats) {
   const isa::Program p = SmallProgram(arch);
   sim::LaunchConfig config;
   config.domain = Domain{128, 128};
-  Collector collector(1u << 20);
+  Collector collector(1u << 20, Timeline::kKeep);
   const sim::KernelStats with =
       gpu.Execute(p, config, nullptr, &collector);
   const sim::KernelStats without = gpu.Execute(p, config);
@@ -75,7 +125,7 @@ TEST(CollectorTest, CountersAgreeWithKernelStats) {
   const isa::Program p = SmallProgram(arch);
   sim::LaunchConfig config;
   config.domain = kSmall;
-  Collector collector(1u << 20);
+  Collector collector(1u << 20, Timeline::kKeep);
   const sim::KernelStats stats =
       gpu.Execute(p, config, nullptr, &collector);
   const Profile profile = collector.Take();
@@ -114,13 +164,117 @@ TEST(CollectorTest, CapsEventStreamAndCountsDrops) {
   const isa::Program p = SmallProgram(arch);
   sim::LaunchConfig config;
   config.domain = kSmall;
-  Collector collector(/*event_capacity=*/8);
+  Collector collector(/*event_capacity=*/8, Timeline::kKeep);
   gpu.Execute(p, config, nullptr, &collector);
   const Profile profile = collector.Take();
   EXPECT_EQ(profile.events.size(), 8u);
   EXPECT_GT(profile.dropped_events, 0u);
   // Aggregated counters keep counting past the event cap.
   EXPECT_GT(profile.counters.Get(CounterId::kAluClauses), 8u);
+}
+
+TEST(CollectorTest, AluSlotCountersAreExactOverLongClauses) {
+  // Every wavefront issues every bundle of every ALU clause once, in
+  // kAluInterleaveBundles chunks; clauses longer than one chunk and not
+  // a multiple of it exercise the partial last chunk.
+  for (const GpuArch& arch : AllArchs()) {
+    const sim::Gpu gpu(arch);
+    for (const ShaderMode mode : {ShaderMode::kPixel, ShaderMode::kCompute}) {
+      if (mode == ShaderMode::kCompute && !arch.supports_compute) continue;
+      bool saw_partial_chunk = false;
+      for (const unsigned alu_ops : {70u, 150u, 301u}) {
+        suite::GenericSpec spec;
+        spec.inputs = 4;
+        spec.alu_ops = alu_ops;
+        if (mode == ShaderMode::kCompute) {
+          spec.write_path = WritePath::kGlobal;
+        }
+        const isa::Program p =
+            compiler::Compile(suite::GenerateGeneric(spec), arch);
+        std::uint64_t bundles = 0;
+        std::uint64_t slots = 0;
+        for (const isa::Clause& clause : p.clauses) {
+          if (clause.type != isa::ClauseType::kAlu) continue;
+          const std::size_t size = clause.bundles.size();
+          if (size > sim::kAluInterleaveBundles &&
+              size % sim::kAluInterleaveBundles != 0) {
+            saw_partial_chunk = true;
+          }
+          bundles += size;
+          for (const isa::Bundle& bundle : clause.bundles) {
+            slots += bundle.SlotCount();
+          }
+        }
+        sim::LaunchConfig config;
+        config.domain = Domain{128, 128};
+        config.mode = mode;
+        Collector collector(1u << 20, Timeline::kDrop);
+        const sim::KernelStats stats =
+            gpu.Execute(p, config, nullptr, &collector);
+        const CounterSet& c = collector.Current().counters;
+        const std::uint64_t waves = stats.wavefront_count;
+        const std::string what = arch.name + " " +
+                                 std::string(ToString(mode)) + " alu_ops=" +
+                                 std::to_string(alu_ops);
+        EXPECT_EQ(c.Get(CounterId::kAluBundles), waves * bundles) << what;
+        EXPECT_EQ(c.Get(CounterId::kAluSlotsUsed), waves * slots) << what;
+        EXPECT_EQ(c.Get(CounterId::kAluSlotsTotal),
+                  waves * bundles * arch.vliw_width)
+            << what;
+      }
+      EXPECT_TRUE(saw_partial_chunk)
+          << arch.name << ": no ALU clause longer than one chunk and not a "
+                          "multiple of it; the partial chunk went untested";
+    }
+  }
+}
+
+TEST(CollectorTest, TimelineFreeCollectorCountsLikeATimelineOne) {
+  // The same launches with and without a kept timeline, at the default
+  // capacity and at one small enough that clause events are dropped.
+  struct Case {
+    const char* what;
+    ShaderMode mode;
+    suite::GenericSpec spec;
+  };
+  suite::GenericSpec texture;
+  texture.inputs = 4;
+  texture.alu_ops = 70;
+  suite::GenericSpec global = texture;
+  global.read_path = ReadPath::kGlobal;
+  global.write_path = WritePath::kGlobal;
+  global.type = DataType::kFloat4;
+  const Case cases[] = {{"texture pixel", ShaderMode::kPixel, texture},
+                        {"global compute", ShaderMode::kCompute, global}};
+  const GpuArch arch = MakeRV770();
+  const sim::Gpu gpu(arch);
+  for (const Case& c : cases) {
+    const isa::Program p = compiler::Compile(suite::GenerateGeneric(c.spec),
+                                             arch);
+    sim::LaunchConfig config;
+    config.domain = kSmall;
+    config.mode = c.mode;
+    for (const std::size_t capacity : {sim::DefaultTraceCapacity(),
+                                       std::size_t{8}}) {
+      SCOPED_TRACE(std::string(c.what) + " capacity " +
+                   std::to_string(capacity));
+      Collector kept(capacity, Timeline::kKeep);
+      Collector dropped(capacity, Timeline::kDrop);
+      EXPECT_EQ(gpu.Execute(p, config, nullptr, &kept),
+                gpu.Execute(p, config, nullptr, &dropped));
+      const Profile with = kept.Take();
+      const Profile without = dropped.Take();
+      ExpectEqualApartFromTimeline(with, without);
+      EXPECT_FALSE(with.events.empty());
+      EXPECT_FALSE(with.occupancy.empty());
+      EXPECT_TRUE(without.events.empty());
+      EXPECT_TRUE(without.occupancy.empty());
+      if (capacity == 8) {
+        EXPECT_EQ(with.events.size(), 8u);
+        EXPECT_GT(without.dropped_events, 0u);
+      }
+    }
+  }
 }
 
 TEST(CollectorTest, UnprofiledLaunchHasNullProfile) {
@@ -349,9 +503,17 @@ TEST(ChromeTraceTest, GoldenDocumentForSyntheticProfile) {
 }
 
 TEST(ChromeTraceTest, RealLaunchProducesValidTraceEventJson) {
+  // A profiled launch keeps its timeline only when its trace is written,
+  // so give it a trace directory.
+  const ScopedTraceDirectory traces(/*enabled=*/true);
   const suite::Measurement m = ProfiledMeasurement();
   ASSERT_NE(m.profile, nullptr);
   const std::string json = ChromeTraceJson(*m.profile);
+  std::ifstream written(TracePath(*m.profile, traces.Path().string()));
+  ASSERT_TRUE(written.good());
+  std::ostringstream file;
+  file << written.rdbuf();
+  EXPECT_EQ(file.str(), json);
   const report::JsonValue doc = report::JsonValue::Parse(json);
   const report::JsonValue* events = doc.Find("traceEvents");
   ASSERT_NE(events, nullptr);
@@ -375,6 +537,27 @@ TEST(ChromeTraceTest, RealLaunchProducesValidTraceEventJson) {
   const report::JsonValue* other = doc.Find("otherData");
   ASSERT_NE(other, nullptr);
   EXPECT_EQ(other->StringOr("kernel", ""), m.profile->kernel);
+}
+
+TEST(ChromeTraceTest, NoTraceDirectoryMeansNoTimeline) {
+  suite::Measurement plain;
+  suite::Measurement traced;
+  {
+    const ScopedTraceDirectory none(/*enabled=*/false);
+    plain = ProfiledMeasurement();
+  }
+  {
+    const ScopedTraceDirectory traces(/*enabled=*/true);
+    traced = ProfiledMeasurement();
+  }
+  ASSERT_NE(plain.profile, nullptr);
+  ASSERT_NE(traced.profile, nullptr);
+  EXPECT_TRUE(plain.profile->events.empty());
+  EXPECT_TRUE(plain.profile->occupancy.empty());
+  EXPECT_FALSE(traced.profile->events.empty());
+  EXPECT_FALSE(traced.profile->occupancy.empty());
+  EXPECT_EQ(plain.stats, traced.stats);
+  ExpectEqualApartFromTimeline(*plain.profile, *traced.profile);
 }
 
 TEST(ChromeTraceTest, FileNamesKeepFloatAndFloat4Apart) {

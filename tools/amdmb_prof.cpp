@@ -287,6 +287,10 @@ int main(int argc, char** argv) {
             "amdmb_prof: " + arch.name + " has no compute-shader mode");
     if (!trace_dir.empty()) {
       report::EnsureWritableDirectory(trace_dir, "--trace-dir");
+      // Each profiled launch writes its own trace, as under
+      // AMDMB_TRACE_DIR; only launches with a destination keep the
+      // timeline a trace is made of.
+      prof::SetTraceDirectory(trace_dir);
     }
 
     const std::vector<ProfilePtr> profiles =
@@ -317,8 +321,7 @@ int main(int argc, char** argv) {
 
     for (const ProfilePtr& p : profiles) {
       if (!trace_dir.empty()) {
-        std::cout << "trace: " << prof::WriteChromeTrace(*p, trace_dir)
-                  << "\n";
+        std::cout << "trace: " << prof::TracePath(*p, trace_dir) << "\n";
       }
     }
 
