@@ -111,7 +111,7 @@ void RunCurve(report::Figure& figure, const Prepared& prepared,
   for (const RungPoint& p : sweep.points) {
     series.Add(wavefronts_at(p.rung), p.m.seconds);
     figure.profiles.push_back(report::MakeProfileEntry(
-        name, *p.m.profile, sim::ToString(p.m.stats.bottleneck)));
+        name, p.m.profile, sim::ToString(p.m.stats.bottleneck)));
   }
   for (report::Degradation& d : report::DegradationsFrom(sweep.report, name)) {
     figure.degradations.push_back(std::move(d));

@@ -99,20 +99,39 @@ std::string ProfileEntry::Render() const {
   return os.str();
 }
 
+bool ProfileEntry::operator==(const ProfileEntry& other) const {
+  return curve == other.curve && point == other.point &&
+         attributed == other.attributed && heuristic == other.heuristic &&
+         agree == other.agree && alu_score == other.alu_score &&
+         fetch_score == other.fetch_score &&
+         memory_score == other.memory_score && counters == other.counters &&
+         dropped_events == other.dropped_events;
+}
+
 ProfileEntry MakeProfileEntry(const std::string& curve,
-                              const prof::Profile& profile,
+                              std::shared_ptr<const prof::Profile> profile,
                               std::string_view heuristic) {
   ProfileEntry entry;
   entry.curve = curve;
-  entry.point = profile.point;
-  entry.attributed = sim::ToString(profile.attribution.bottleneck);
+  entry.point = profile->point;
+  entry.attributed = sim::ToString(profile->attribution.bottleneck);
   entry.heuristic = heuristic;
   entry.agree = entry.attributed == entry.heuristic;
-  entry.alu_score = profile.attribution.alu_score;
-  entry.fetch_score = profile.attribution.fetch_score;
-  entry.memory_score = profile.attribution.memory_score;
-  entry.counters = profile.counters;
-  entry.dropped_events = profile.dropped_events;
+  entry.alu_score = profile->attribution.alu_score;
+  entry.fetch_score = profile->attribution.fetch_score;
+  entry.memory_score = profile->attribution.memory_score;
+  entry.counters = profile->counters;
+  entry.dropped_events = profile->dropped_events;
+  if (profile->events.empty() && profile->occupancy.empty()) {
+    entry.profile = std::move(profile);
+  } else {
+    // The timeline's one reader, the Chrome-trace exporter, ran at
+    // launch; a record lives for its whole figure, so it keeps no copy.
+    auto trimmed = std::make_shared<prof::Profile>(*profile);
+    trimmed->events = std::vector<sim::TraceEvent>();
+    trimmed->occupancy = std::vector<prof::OccupancySample>();
+    entry.profile = std::move(trimmed);
+  }
   return entry;
 }
 

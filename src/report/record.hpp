@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -107,6 +108,12 @@ std::vector<Degradation> DegradationsFrom(const exec::RunReport& run,
 /// canonical strings ("ALU" / "FETCH" / "MEMORY") so the record layer
 /// stays decoupled from the simulator types and the JSON round-trip is
 /// verbatim.
+///
+/// `profile` is the full profile the entry was made from (the pointer
+/// suite::Measurement carries; without its timeline, which only the
+/// Chrome-trace export at launch reads), for in-process readers such as
+/// amdmb_prof. It is never serialized and not compared, so a document
+/// and a loaded record (where it is null) do not depend on it.
 struct ProfileEntry {
   std::string curve;       ///< Legend label ("4870 Pixel Float").
   std::string point;       ///< Sweep-point label ("alufetch_r2.00").
@@ -118,18 +125,21 @@ struct ProfileEntry {
   double memory_score = 0.0;
   prof::CounterSet counters;
   std::uint64_t dropped_events = 0;  ///< Trace events past AMDMB_TRACE_CAP.
+  std::shared_ptr<const prof::Profile> profile;  ///< Null when loaded.
 
   /// One line for the text sink, e.g.
   /// "4870 Pixel Float/alufetch_r2.00: ALU (agrees with heuristic)".
   std::string Render() const;
 
-  bool operator==(const ProfileEntry&) const = default;
+  /// Compares every serialized field; `profile` is ignored.
+  bool operator==(const ProfileEntry& other) const;
 };
 
-/// Builds the entry for one profiled measurement. `heuristic` is the
-/// rendered sim::Bottleneck of the same launch's KernelStats.
+/// Builds the entry for one profiled measurement and keeps `profile`
+/// on it, minus any timeline. `heuristic` is the rendered
+/// sim::Bottleneck of the same launch's KernelStats.
 ProfileEntry MakeProfileEntry(const std::string& curve,
-                              const prof::Profile& profile,
+                              std::shared_ptr<const prof::Profile> profile,
                               std::string_view heuristic);
 
 /// Run-wide provenance stamped into every figure record.

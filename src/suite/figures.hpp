@@ -119,14 +119,15 @@ struct CrossCheckPoint {
 std::vector<CrossCheckPoint> CrossCheckPoints();
 
 /// Converts every profiled point of a sweep into a typed ProfileEntry
-/// on the record. A no-op when profiling was off.
+/// on the record, which keeps the point's full profile. A no-op when
+/// profiling was off.
 template <typename Points>
 void NoteProfiles(report::Figure& figure, const std::string& curve,
                   const Points& points) {
   for (const auto& point : points) {
     if (point.m.profile == nullptr) continue;
     figure.profiles.push_back(report::MakeProfileEntry(
-        curve, *point.m.profile, sim::ToString(point.m.stats.bottleneck)));
+        curve, point.m.profile, sim::ToString(point.m.stats.bottleneck)));
   }
 }
 

@@ -2,7 +2,9 @@
 // (thread widths, fault retries), exact VLIW slot counters, timeline-free
 // collectors counting exactly like timeline ones, counter-based
 // bottleneck attribution cross-checked against the heuristic classifier,
-// Chrome-trace export (golden document), and profile JSON round-trips.
+// Chrome-trace export (golden document), profile JSON round-trips, and
+// the full profile every figure's ProfileEntry keeps (what amdmb_prof
+// reads).
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -21,6 +23,7 @@
 #include "report/json.hpp"
 #include "report/json_sink.hpp"
 #include "report/load.hpp"
+#include "suite/figures.hpp"
 #include "suite/suite.hpp"
 
 namespace amdmb::prof {
@@ -617,7 +620,7 @@ TEST(ProfileReportTest, BenchJsonCarriesProfileBlock) {
   report::Figure figure("Fig. 99 — Profiler Plumbing", "t", "x", "y",
                         "claim");
   figure.profiles.push_back(report::MakeProfileEntry(
-      "4870 Pixel Float", *m.profile,
+      "4870 Pixel Float", m.profile,
       sim::ToString(m.stats.bottleneck)));
   const std::string json = report::BenchJson(figure);
   const report::LoadedFigure loaded = report::LoadFigureJson(json);
@@ -641,9 +644,108 @@ TEST(ProfileReportTest, DivergenceRendersLoudly) {
   const suite::Measurement m = ProfiledMeasurement();
   ASSERT_NE(m.profile, nullptr);
   const report::ProfileEntry entry = report::MakeProfileEntry(
-      "curve", *m.profile, "NOT_WHAT_THE_COUNTERS_SAY");
+      "curve", m.profile, "NOT_WHAT_THE_COUNTERS_SAY");
   EXPECT_FALSE(entry.agree);
   EXPECT_NE(entry.Render().find("DIVERGES"), std::string::npos);
+}
+
+TEST(ProfileEntryTest, EqualityComparesEverySerializedFieldButNotProfile) {
+  const suite::Measurement m = ProfiledMeasurement();
+  ASSERT_NE(m.profile, nullptr);
+  const report::ProfileEntry entry = report::MakeProfileEntry(
+      "4870 Pixel Float", m.profile, sim::ToString(m.stats.bottleneck));
+  EXPECT_EQ(entry.profile, m.profile);
+  report::ProfileEntry without = entry;
+  without.profile = nullptr;
+  EXPECT_EQ(entry, without);
+
+  using Edit = void (*)(report::ProfileEntry&);
+  const Edit edits[] = {
+      [](report::ProfileEntry& e) { e.curve += "x"; },
+      [](report::ProfileEntry& e) { e.point += "x"; },
+      [](report::ProfileEntry& e) { e.attributed += "x"; },
+      [](report::ProfileEntry& e) { e.heuristic += "x"; },
+      [](report::ProfileEntry& e) { e.agree = !e.agree; },
+      [](report::ProfileEntry& e) { e.alu_score += 1.0; },
+      [](report::ProfileEntry& e) { e.fetch_score += 1.0; },
+      [](report::ProfileEntry& e) { e.memory_score += 1.0; },
+      [](report::ProfileEntry& e) {
+        e.counters.Add(CounterId::kCycles, 1);
+      },
+      [](report::ProfileEntry& e) { ++e.dropped_events; },
+  };
+  for (const Edit edit : edits) {
+    report::ProfileEntry changed = entry;
+    edit(changed);
+    EXPECT_FALSE(changed == entry);
+  }
+}
+
+TEST(ProfileEntryTest, EntryKeepsTheProfileWithoutItsTimeline) {
+  const ScopedTraceDirectory traces(/*enabled=*/true);
+  const suite::Measurement m = ProfiledMeasurement();
+  ASSERT_NE(m.profile, nullptr);
+  ASSERT_FALSE(m.profile->events.empty());
+  const report::ProfileEntry entry = report::MakeProfileEntry(
+      "4870 Pixel Float", m.profile, sim::ToString(m.stats.bottleneck));
+  ASSERT_NE(entry.profile, nullptr);
+  // Released, not just cleared: the record outlives the sweep.
+  EXPECT_EQ(entry.profile->events.capacity(), 0u);
+  EXPECT_EQ(entry.profile->occupancy.capacity(), 0u);
+  ExpectEqualApartFromTimeline(*entry.profile, *m.profile);
+  EXPECT_FALSE(m.profile->events.empty());
+}
+
+// Every figure that launches kernels (all but Table I), built the way
+// amdmb_prof builds it: the first curve at quick scale, profiled. Each
+// entry must keep the profile it was made from, and the pointer must
+// never reach the document.
+TEST(ProfileEntryTest, EveryKernelLaunchingFigureKeepsItsProfiles) {
+  namespace figures = suite::figures;
+  std::vector<const figures::FigureDef*> defs;
+  for (const auto* list : {&figures::Registry(), &figures::Supplementary()}) {
+    for (const figures::FigureDef& def : *list) {
+      if (def.slug != "table_i") defs.push_back(&def);
+    }
+  }
+  ASSERT_EQ(defs.size(), 17u);
+  figures::RunOptions opts;
+  opts.quick = true;
+  opts.profile = true;
+  std::vector<report::Figure> records = exec::SweepExecutor::Default().Map(
+      defs.size(), [&](std::size_t i) {
+        report::Figure record = figures::NewRecord(*defs[i]);
+        defs[i]->curves.front().run(record, opts);
+        figures::FinalizeRecord(record, opts);
+        return record;
+      });
+
+  for (std::size_t i = 0; i < defs.size(); ++i) {
+    SCOPED_TRACE(defs[i]->slug);
+    report::Figure& record = records[i];
+    ASSERT_FALSE(record.profiles.empty());
+    for (const report::ProfileEntry& entry : record.profiles) {
+      ASSERT_NE(entry.profile, nullptr) << entry.curve << "/" << entry.point;
+      const Profile& p = *entry.profile;
+      EXPECT_EQ(entry.point, p.point);
+      EXPECT_EQ(entry.attributed, sim::ToString(p.attribution.bottleneck));
+      EXPECT_EQ(entry.counters, p.counters);
+      EXPECT_EQ(entry.alu_score, p.attribution.alu_score);
+      EXPECT_EQ(entry.fetch_score, p.attribution.fetch_score);
+      EXPECT_EQ(entry.memory_score, p.attribution.memory_score);
+      EXPECT_EQ(entry.dropped_events, p.dropped_events);
+    }
+    const std::string json = report::BenchJson(record);
+    const std::vector<report::ProfileEntry> kept = record.profiles;
+    for (report::ProfileEntry& entry : record.profiles) entry.profile = nullptr;
+    EXPECT_EQ(report::BenchJson(record), json);
+    EXPECT_EQ(record.profiles, kept);
+    const report::LoadedFigure loaded = report::LoadFigureJson(json);
+    EXPECT_EQ(loaded.profiles, kept);
+    for (const report::ProfileEntry& entry : loaded.profiles) {
+      EXPECT_EQ(entry.profile, nullptr);
+    }
+  }
 }
 
 }  // namespace

@@ -1,39 +1,37 @@
 // amdmb_prof — profile one figure's sweep on the simulated GPU.
 //
-// Runs a single micro-benchmark sweep with hardware-counter profiling
-// forced on, then prints the counter table, clause queue/service
-// decomposition, and counter-based bottleneck attribution for one
-// sweep point. Optionally writes the Chrome trace (loadable in
-// chrome://tracing or Perfetto) for every profiled point, emits the
-// selected profile as JSON, or diffs two previously saved profiles
-// counter by counter.
+// Builds one curve of a registry or supplementary figure through its
+// FigureDef — the very sweep the bench binary plots — at quick scale
+// with hardware-counter profiling forced on, then prints the counter
+// table, clause queue/service decomposition, and counter-based
+// bottleneck attribution for one profiled point. Optionally writes the
+// Chrome trace (loadable in chrome://tracing or Perfetto) for every
+// profiled point, emits the selected profile as JSON, or diffs two
+// previously saved profiles counter by counter.
 //
 // Usage:
-//   amdmb_prof <figure> [--arch NAME] [--mode pixel|compute]
-//              [--type float|float4] [--point LABEL]
-//              [--trace-dir DIR] [--json]
+//   amdmb_prof <figure> [--curve TEXT] [--point TEXT] [--trace-dir DIR]
+//              [--json]
 //   amdmb_prof --diff A.json B.json
 //   amdmb_prof --list
 //
-//   <figure>       slug of a supported figure (see --list), e.g. fig_7
-//   --arch NAME    chip or card name (RV770, 4870, ...); default RV770
-//   --mode M       shader mode; default pixel (fig_8 defaults compute)
-//   --type T       data type; default float
-//   --point LABEL  select the sweep point whose full profile to print
-//                  (substring match); default: the last profiled point
+//   <figure>       slug of a figure (see --list), e.g. fig_7
+//   --curve TEXT   build the first curve whose name contains TEXT
+//                  ("4870 Compute Float4"); default: the first curve
+//   --point TEXT   select the profiled point whose "curve/point" label
+//                  contains TEXT; default: the last profiled point
 //   --trace-dir D  write one <arch>_<mode>_<type>_<point>.trace.json
-//                  Chrome trace per profiled point into D
+//                  Chrome trace per profiled point into D (overrides
+//                  AMDMB_TRACE_DIR)
 //   --json         print the selected profile as JSON instead of text
 //   --diff A B     compare two profile JSON documents; exit 1 when any
 //                  counter or the attributed bottleneck differs
 //
-// Sweeps run at smoke scale (the AMDMB_QUICK shapes) — the point is
-// counter inspection, not paper-scale timing.
-#include <cctype>
+// Exit codes: 0 ok, 1 no matching curve/point or a failed sweep,
+// 2 usage errors, unknown figures, and unwritable trace directories.
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -43,105 +41,26 @@
 #include "common/version.hpp"
 #include "prof/chrome_trace.hpp"
 #include "prof/profile_json.hpp"
-#include "report/json_sink.hpp"
+#include "report/sink.hpp"
+#include "suite/figures.hpp"
 
 namespace {
 
 using namespace amdmb;
-using ProfilePtr = std::shared_ptr<const prof::Profile>;
-
-struct FigureSpec {
-  const char* slug;
-  const char* what;
-};
-
-constexpr FigureSpec kFigures[] = {
-    {"fig_7", "ALU:fetch ratio sweep, texture reads, 64x1 blocks"},
-    {"fig_8", "ALU:fetch ratio sweep, 4x16 compute blocks"},
-    {"fig_11", "texture-fetch read latency vs input count"},
-    {"fig_12", "global-read latency vs input count"},
-    {"fig_13", "stream-store write latency vs output count"},
-    {"fig_14", "global-write latency vs output count"},
-    {"fig_15", "domain-size sweep, ALU-bound kernel"},
-    {"fig_16", "register-usage sweep"},
-    {"ext_block_size", "block-shape explorer, fetch-bound kernel"},
-};
+namespace figures = suite::figures;
 
 int Usage(const char* argv0) {
   std::cerr << "usage: " << argv0
-            << " <figure> [--arch NAME] [--mode pixel|compute]"
-               " [--type float|float4]\n"
-               "       [--point LABEL] [--trace-dir DIR] [--json]\n"
+            << " <figure> [--curve TEXT] [--point TEXT]"
+               " [--trace-dir DIR] [--json]\n"
                "   or: "
             << argv0 << " --diff A.json B.json\n   or: " << argv0
             << " --list\n";
   return 2;
 }
 
-std::string Lower(std::string s) {
-  for (char& c : s) c = static_cast<char>(std::tolower(c));
-  return s;
-}
-
-/// Pulls the profiles out of a sweep's points, in sweep order.
-template <typename Points>
-std::vector<ProfilePtr> Collect(const Points& points) {
-  std::vector<ProfilePtr> out;
-  for (const auto& point : points) {
-    if (point.m.profile != nullptr) out.push_back(point.m.profile);
-  }
-  return out;
-}
-
-std::vector<ProfilePtr> RunFigure(const std::string& slug,
-                                  const GpuArch& arch, ShaderMode mode,
-                                  DataType type) {
-  using namespace amdmb::suite;
-  const Runner runner(arch);
-  if (slug == "fig_7" || slug == "fig_8") {
-    AluFetchConfig c;
-    c.exec.profile = true;
-    c.domain = Domain{256, 256};
-    c.ratio_step = 1.0;
-    if (slug == "fig_8") c.block = BlockShape{4, 16};
-    return Collect(RunAluFetch(runner, mode, type, c).points);
-  }
-  if (slug == "fig_11" || slug == "fig_12") {
-    ReadLatencyConfig c;
-    c.exec.profile = true;
-    c.domain = Domain{256, 256};
-    if (slug == "fig_12") c.read_path = ReadPath::kGlobal;
-    return Collect(RunReadLatency(runner, mode, type, c).points);
-  }
-  if (slug == "fig_13" || slug == "fig_14") {
-    WriteLatencyConfig c;
-    c.exec.profile = true;
-    c.domain = Domain{256, 256};
-    if (slug == "fig_14") c.write_path = WritePath::kGlobal;
-    return Collect(RunWriteLatency(runner, mode, type, c).points);
-  }
-  if (slug == "fig_15") {
-    DomainSizeConfig c;
-    c.exec.profile = true;
-    c.max_size = 512;
-    c.pixel_increment = 64;
-    return Collect(RunDomainSize(runner, mode, type, c).points);
-  }
-  if (slug == "fig_16") {
-    RegisterUsageConfig c;
-    c.exec.profile = true;
-    c.domain = Domain{256, 256};
-    return Collect(RunRegisterUsage(runner, mode, type, c).points);
-  }
-  if (slug == "ext_block_size") {
-    BlockSizeConfig c;
-    c.exec.profile = true;
-    c.type = type;
-    c.domain = Domain{256, 256};
-    return Collect(RunBlockSizeExplorer(runner, c).points);
-  }
-  throw ConfigError("amdmb_prof: unknown figure '" + slug +
-                    "' (see --list)");
+std::string Label(const report::ProfileEntry& entry) {
+  return entry.curve + "/" + entry.point;
 }
 
 prof::Profile LoadProfile(const std::string& path) {
@@ -191,30 +110,12 @@ int DiffProfiles(const prof::Profile& a, const prof::Profile& b) {
   return differences;
 }
 
-ShaderMode ParseMode(const std::string& text) {
-  const std::string mode = Lower(text);
-  if (mode == "pixel") return ShaderMode::kPixel;
-  if (mode == "compute") return ShaderMode::kCompute;
-  throw ConfigError("amdmb_prof: --mode must be pixel or compute, got '" +
-                    text + "'");
-}
-
-DataType ParseType(const std::string& text) {
-  const std::string type = Lower(text);
-  if (type == "float") return DataType::kFloat;
-  if (type == "float4") return DataType::kFloat4;
-  throw ConfigError("amdmb_prof: --type must be float or float4, got '" +
-                    text + "'");
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   std::string figure;
-  std::string arch_name = "RV770";
-  std::string mode_text;
-  std::string type_text = "float";
-  std::string point_label;
+  std::string curve_text;
+  std::string point_text;
   std::string trace_dir;
   std::vector<std::string> diff_paths;
   bool json = false;
@@ -235,14 +136,10 @@ int main(int argc, char** argv) {
         list = true;
       } else if (std::strcmp(argv[i], "--json") == 0) {
         json = true;
-      } else if (std::strcmp(argv[i], "--arch") == 0) {
-        arch_name = value("--arch");
-      } else if (std::strcmp(argv[i], "--mode") == 0) {
-        mode_text = value("--mode");
-      } else if (std::strcmp(argv[i], "--type") == 0) {
-        type_text = value("--type");
+      } else if (std::strcmp(argv[i], "--curve") == 0) {
+        curve_text = value("--curve");
       } else if (std::strcmp(argv[i], "--point") == 0) {
-        point_label = value("--point");
+        point_text = value("--point");
       } else if (std::strcmp(argv[i], "--trace-dir") == 0) {
         trace_dir = value("--trace-dir");
       } else if (std::strcmp(argv[i], "--diff") == 0) {
@@ -262,8 +159,10 @@ int main(int argc, char** argv) {
   }
 
   if (list) {
-    for (const FigureSpec& spec : kFigures) {
-      std::cout << spec.slug << "\t" << spec.what << "\n";
+    for (const auto* defs : {&figures::Registry(), &figures::Supplementary()}) {
+      for (const figures::FigureDef& def : *defs) {
+        std::cout << def.slug << "\t" << def.what << "\n";
+      }
     }
     return 0;
   }
@@ -277,68 +176,88 @@ int main(int argc, char** argv) {
     }
     if (figure.empty()) return Usage(argv[0]);
 
-    const GpuArch arch = ArchByName(arch_name);
-    const ShaderMode mode =
-        mode_text.empty()
-            ? (figure == "fig_8" ? ShaderMode::kCompute : ShaderMode::kPixel)
-            : ParseMode(mode_text);
-    const DataType type = ParseType(type_text);
-    Require(mode == ShaderMode::kPixel || arch.supports_compute,
-            "amdmb_prof: " + arch.name + " has no compute-shader mode");
-    if (!trace_dir.empty()) {
-      report::EnsureWritableDirectory(trace_dir, "--trace-dir");
-      // Each profiled launch writes its own trace, as under
-      // AMDMB_TRACE_DIR; only launches with a destination keep the
-      // timeline a trace is made of.
-      prof::SetTraceDirectory(trace_dir);
+    const figures::FigureDef* def = figures::Find(figure);
+    if (def == nullptr) def = figures::Find(figure, figures::Supplementary());
+    if (def == nullptr) {
+      throw ConfigError("amdmb_prof: unknown figure '" + figure +
+                        "' (see --list)");
+    }
+    const figures::CurveDef* curve = nullptr;
+    for (const figures::CurveDef& c : def->curves) {
+      if (c.name.find(curve_text) != std::string::npos) {
+        curve = &c;
+        break;
+      }
+    }
+    if (curve == nullptr) {
+      std::cerr << "amdmb_prof: no curve of " << def->slug << " matches '"
+                << curve_text << "'; curves are:\n";
+      for (const figures::CurveDef& c : def->curves) {
+        std::cerr << "  " << c.name << "\n";
+      }
+      return 1;
+    }
+    // Each profiled launch writes its own trace, as under
+    // AMDMB_TRACE_DIR; only launches with a destination keep the
+    // timeline a trace is made of. Check the destination before the
+    // first launch, not once per point.
+    if (!trace_dir.empty()) prof::SetTraceDirectory(trace_dir);
+    const std::string traces = prof::TraceDirectory();
+    if (!traces.empty()) {
+      report::EnsureWritableDirectory(
+          traces, trace_dir.empty() ? "AMDMB_TRACE_DIR" : "--trace-dir");
     }
 
-    const std::vector<ProfilePtr> profiles =
-        RunFigure(figure, arch, mode, type);
-    if (profiles.empty()) {
-      std::cerr << "amdmb_prof: the sweep produced no profiled points\n";
+    figures::RunOptions opts;
+    opts.quick = true;
+    opts.profile = true;
+    report::Figure record = figures::NewRecord(*def);
+    curve->run(record, opts);
+    const std::vector<report::ProfileEntry>& entries = record.profiles;
+    if (entries.empty()) {
+      std::cerr << "amdmb_prof: " << def->slug << " " << curve->name
+                << " produced no profiled points\n";
       return 1;
     }
 
-    ProfilePtr selected = profiles.back();
-    if (!point_label.empty()) {
+    const report::ProfileEntry* selected = &entries.back();
+    if (!point_text.empty()) {
       selected = nullptr;
-      for (const ProfilePtr& p : profiles) {
-        if (p->point.find(point_label) != std::string::npos) {
-          selected = p;
+      for (const report::ProfileEntry& entry : entries) {
+        if (Label(entry).find(point_text) != std::string::npos) {
+          selected = &entry;
           break;
         }
       }
       if (selected == nullptr) {
-        std::cerr << "amdmb_prof: no sweep point matches '" << point_label
+        std::cerr << "amdmb_prof: no profiled point matches '" << point_text
                   << "'; points are:\n";
-        for (const ProfilePtr& p : profiles) {
-          std::cerr << "  " << p->point << "\n";
+        for (const report::ProfileEntry& entry : entries) {
+          std::cerr << "  " << Label(entry) << "\n";
         }
         return 1;
       }
     }
 
-    for (const ProfilePtr& p : profiles) {
-      if (!trace_dir.empty()) {
-        std::cout << "trace: " << prof::TracePath(*p, trace_dir) << "\n";
-      }
-    }
-
     if (json) {
-      std::cout << prof::ProfileJson(*selected);
+      std::cout << prof::ProfileJson(*selected->profile);
       return 0;
     }
 
-    std::cout << figure << " on " << Identity(*selected) << " ("
-              << profiles.size() << " profiled point"
-              << (profiles.size() == 1 ? "" : "s") << ")\n";
-    for (const ProfilePtr& p : profiles) {
-      std::cout << "  " << p->point << ": "
-                << sim::ToString(p->attribution.bottleneck)
-                << (p == selected ? "  <- selected" : "") << "\n";
+    if (!traces.empty()) {
+      for (const report::ProfileEntry& entry : entries) {
+        std::cout << "trace: " << prof::TracePath(*entry.profile, traces)
+                  << "\n";
+      }
     }
-    std::cout << "\n" << selected->Render();
+    std::cout << def->slug << " on " << Identity(*selected->profile) << " ("
+              << entries.size() << " profiled point"
+              << (entries.size() == 1 ? "" : "s") << ")\n";
+    for (const report::ProfileEntry& entry : entries) {
+      std::cout << "  " << Label(entry) << ": " << entry.attributed
+                << (&entry == selected ? "  <- selected" : "") << "\n";
+    }
+    std::cout << "\n" << selected->profile->Render();
     return 0;
   } catch (const amdmb::ConfigError& e) {
     std::cerr << e.what() << "\n";
