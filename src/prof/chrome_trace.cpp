@@ -1,5 +1,6 @@
 #include "prof/chrome_trace.hpp"
 
+#include <bit>
 #include <cctype>
 #include <fstream>
 #include <sstream>
@@ -10,6 +11,23 @@
 namespace amdmb::prof {
 
 namespace {
+
+/// FNV-1a 64-bit; length-prefixed strings keep field boundaries exact.
+struct Fnv1a {
+  std::uint64_t value = 14695981039346656037ull;
+
+  void Byte(std::uint8_t b) {
+    value ^= b;
+    value *= 1099511628211ull;
+  }
+  void Add(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) Byte(static_cast<std::uint8_t>(v >> (8 * i)));
+  }
+  void Add(std::string_view s) {
+    Add(std::uint64_t{s.size()});
+    for (const char c : s) Byte(static_cast<std::uint8_t>(c));
+  }
+};
 
 /// One "X" (complete) slice per clause event: track = SIMD engine,
 /// duration = service time, with the queueing delay kept in args so the
@@ -86,6 +104,49 @@ std::string ChromeTraceJson(const Profile& profile) {
   return os.str();
 }
 
+std::uint64_t LaunchId(std::string_view program_key, const GpuArch& arch,
+                       const sim::LaunchConfig& config) {
+  Fnv1a hash;
+  hash.Add(program_key);
+  hash.Add(arch.name);
+  hash.Add(arch.card);
+  hash.Add(arch.mem_type);
+  for (const std::uint64_t v :
+       {std::uint64_t{arch.alu_count}, std::uint64_t{arch.texture_units},
+        std::uint64_t{arch.simd_engines}, std::uint64_t{arch.core_clock_mhz},
+        std::uint64_t{arch.mem_clock_mhz},
+        std::uint64_t{arch.supports_compute},
+        std::uint64_t{arch.wavefront_size},
+        std::uint64_t{arch.thread_processors_per_simd},
+        std::uint64_t{arch.vliw_width}, std::uint64_t{arch.tex_units_per_simd},
+        std::uint64_t{arch.gpr_budget_per_thread},
+        std::uint64_t{arch.max_wavefronts_per_simd},
+        std::uint64_t{arch.clause_temps_per_slot},
+        std::uint64_t{arch.max_tex_fetches_per_clause},
+        std::uint64_t{arch.max_alu_bundles_per_clause},
+        std::uint64_t{arch.l1.size_bytes}, std::uint64_t{arch.l1.line_bytes},
+        std::uint64_t{arch.l1.associativity},
+        std::uint64_t{arch.l1.two_d_index}, arch.tex_hit_latency,
+        arch.tex_miss_stall_cycles, arch.clause_switch_cycles,
+        arch.dram.read_latency, arch.dram.row_switch_cycles,
+        std::uint64_t{arch.dram.banks}, std::uint64_t{arch.dram.row_bytes},
+        arch.global_read_instr_overhead, arch.stream_store_instr_overhead,
+        arch.global_write_instr_overhead,
+        std::uint64_t{config.domain.width}, std::uint64_t{config.domain.height},
+        static_cast<std::uint64_t>(config.mode),
+        std::uint64_t{config.block.x}, std::uint64_t{config.block.y},
+        std::uint64_t{config.repetitions}}) {
+    hash.Add(v);
+  }
+  for (const double v :
+       {arch.tex_bytes_per_unit_cycle, arch.dram.fill_bytes_per_cycle,
+        arch.dram.read_bytes_per_cycle, arch.dram.write_bytes_per_cycle,
+        arch.stream_store_bytes_per_cycle}) {
+    hash.Add(std::bit_cast<std::uint64_t>(v));
+  }
+  return hash.value;
+}
+
 std::string TraceFileName(const Profile& profile) {
   std::string stem;
   AppendSanitized(stem, profile.arch);
@@ -94,6 +155,13 @@ std::string TraceFileName(const Profile& profile) {
   AppendSanitized(stem, profile.point.empty() ? profile.kernel
                                               : profile.point);
   if (stem.empty()) stem = "launch";
+  if (profile.launch_id != 0) {
+    static const char kHex[] = "0123456789abcdef";
+    stem += '_';
+    for (int shift = 60; shift >= 0; shift -= 4) {
+      stem += kHex[(profile.launch_id >> shift) & 0xf];
+    }
+  }
   if (profile.attempt > 1) {
     stem += "_a" + std::to_string(profile.attempt);
   }

@@ -10,20 +10,37 @@
 // trace directory was set while it was collected.
 #pragma once
 
+#include <cstdint>
 #include <string>
+#include <string_view>
 
+#include "arch/gpu_arch.hpp"
 #include "prof/profile.hpp"
+#include "sim/gpu.hpp"
 
 namespace amdmb::prof {
 
 /// The full trace_event document for one profiled launch.
 std::string ChromeTraceJson(const Profile& profile);
 
+/// Identity of one launch: FNV-1a 64-bit over the compiled program's
+/// kernel-cache key (exec::KernelCacheKey), every GpuArch field, and the
+/// launch's domain, mode, block shape and repetitions — everything that
+/// decides what is simulated. The watchdog budget and the profile flag
+/// are left out, so a launch keeps its identity whether AMDMB_PROF or
+/// the launch asked for the profile. Deterministic across runs, thread
+/// counts and platforms.
+std::uint64_t LaunchId(std::string_view program_key, const GpuArch& arch,
+                       const sim::LaunchConfig& config);
+
 /// Deterministic, filesystem-safe file name for a profile's trace:
-/// "<arch>_<mode>_<type>_<point>[_aN].trace.json", lowercased, with
-/// non-alphanumerics collapsed to '_'. The arch/mode/type prefix keeps
-/// float and float4 curves (which share kernel names) from colliding
-/// when sweeps write in parallel.
+/// "<arch>_<mode>_<type>_<point>[_<launch id>][_aN].trace.json",
+/// lowercased, with non-alphanumerics collapsed to '_' and the launch id
+/// (when known) as 16 hex digits. The arch/mode/type prefix keeps float
+/// and float4 curves (which share kernel names) apart; the launch id
+/// keeps apart sweeps of one curve that share point labels (Fig. 8's
+/// 4x16 and 64x1 blocks, the residency-cap ablation's caps), so
+/// distinct launches never write, or truncate, the same file.
 std::string TraceFileName(const Profile& profile);
 
 /// `dir`/TraceFileName(profile): where WriteChromeTrace puts the trace.

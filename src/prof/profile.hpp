@@ -88,6 +88,8 @@ struct Profile {
   std::string mode;     ///< "pixel" / "compute".
   std::string type;     ///< "Float" / "Float4".
   unsigned attempt = 1; ///< Retry attempt that produced this profile.
+  /// LaunchId of the launch (0 when unknown); names its trace file.
+  std::uint64_t launch_id = 0;
 
   // ---- Sampled state ----
   CounterSet counters;

@@ -113,9 +113,8 @@ std::string SuiteSummaryMarkdown(
     const std::vector<ExpectationResult>& checks) {
   std::ostringstream out;
   out << "# AMD micro-benchmark suite — merged results\n\n"
-      << "Aggregated from " << figures.size() << " BENCH_*.json document"
-      << (figures.size() == 1 ? "" : "s")
-      << ". Regenerate with `amdmb_report <json-dir>`.\n\n";
+      << "Aggregated from " << figures.size() << " figure document"
+      << (figures.size() == 1 ? "" : "s") << ".\n\n";
   EmitRunMeta(out, figures);
   for (const LoadedFigure& figure : figures) {
     EmitFigure(out, figure);

@@ -1,4 +1,5 @@
-// Cross-figure aggregation: a directory of BENCH_*.json documents →
+// Cross-figure aggregation: figure documents (a directory of
+// BENCH_*.json files, or records serialized with BenchJson in memory) →
 // one suite-wide markdown summary plus paper-expectation checks.
 // This is the top of the measurement → record → sink pipeline: it only
 // consumes typed LoadedFigure records (report/load.hpp), never raw

@@ -12,7 +12,6 @@
 #include <algorithm>
 #include <cctype>
 #include <cmath>
-#include <iostream>
 #include <utility>
 
 #include "arch/occupancy.hpp"
@@ -586,9 +585,6 @@ FigureDef MakeTable1() {
       "3870/4870/5870 boards.";
   def.what = "GPU hardware features and derived execution-model identities";
   def.curves.push_back({"render", [](report::Figure& fig, const RunOptions&) {
-    // The paper's table itself is text: it goes to stdout as the curve
-    // runs, ahead of the figure block the sinks print.
-    std::cout << RenderHardwareTable() << "\n";
     for (const GpuArch& arch : AllArchs()) {
       fig.findings.push_back(
           {report::FindingKind::kPlateau, arch.name, "alu_count",

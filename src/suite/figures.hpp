@@ -6,8 +6,8 @@
 // google-benchmarks from one (bench::RunBenchMain), the amdmb_serve
 // daemon runs the very same definitions for sweep requests — so a
 // served figure document is byte-identical to the one the standalone
-// binary writes — and the condensed suite report reads its tables off
-// the registry's findings.
+// binary writes — and example_suite_report builds every figure for the
+// cross-figure summary (report/aggregate.hpp).
 #pragma once
 
 #include <cstddef>

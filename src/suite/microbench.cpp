@@ -73,9 +73,14 @@ Measurement Runner::Measure(const il::Kernel& kernel,
     profile.mode = ToString(bounded.mode);
     profile.type = ToString(program.sig.type);
     profile.attempt = ctx.attempt;
+    profile.launch_id = prof::LaunchId(
+        compiled.key.empty()
+            ? exec::KernelCacheKey(kernel, compiler::OptionsFor(gpu_.Arch()))
+            : compiled.key,
+        gpu_.Arch(), bounded);
     // Export before publishing: a parallel sweep writes each point's
-    // trace from its own worker, and the arch/mode/type-qualified file
-    // name keeps concurrent curves from colliding.
+    // trace from its own worker, and the launch-qualified file name
+    // keeps concurrent launches from colliding.
     if (!trace_dir.empty()) prof::WriteChromeTrace(profile, trace_dir);
     m.profile = std::make_shared<const prof::Profile>(std::move(profile));
   }

@@ -580,6 +580,47 @@ TEST(ChromeTraceTest, FileNamesKeepFloatAndFloat4Apart) {
   EXPECT_EQ(TraceFileName(empty), "launch.trace.json");
 }
 
+TEST(ChromeTraceTest, DistinctLaunchesWriteDistinctFiles) {
+  // Fig. 8's first curve sweeps one arch/mode/type twice (4x16 and 64x1
+  // blocks) under the same point labels; the residency-cap ablation
+  // sweeps the same kernels under several caps. Every profiled launch
+  // still writes its own file, and the path amdmb_prof prints from the
+  // entry's profile is the file that was written.
+  namespace figures = suite::figures;
+  struct Case {
+    const figures::FigureDef* def;
+    std::size_t curves;
+  };
+  const figures::FigureDef* fig8 = figures::Find("fig_8");
+  const figures::FigureDef* caps = figures::Find(
+      "ablation_wavefront_residency_cap", figures::Supplementary());
+  ASSERT_NE(fig8, nullptr);
+  ASSERT_NE(caps, nullptr);
+  figures::RunOptions opts;
+  opts.quick = true;
+  opts.profile = true;
+  for (const Case& c : {Case{fig8, 1}, Case{caps, caps->curves.size()}}) {
+    SCOPED_TRACE(c.def->slug);
+    const ScopedTraceDirectory traces(/*enabled=*/true);
+    report::Figure record = figures::NewRecord(*c.def);
+    for (std::size_t i = 0; i < c.curves; ++i) {
+      c.def->curves[i].run(record, opts);
+    }
+    ASSERT_FALSE(record.profiles.empty());
+    std::size_t files = 0;
+    for (const auto& file :
+         std::filesystem::directory_iterator(traces.Path())) {
+      files += file.is_regular_file() ? 1 : 0;
+    }
+    EXPECT_EQ(files, record.profiles.size());
+    for (const report::ProfileEntry& entry : record.profiles) {
+      EXPECT_TRUE(std::filesystem::exists(
+          TracePath(*entry.profile, traces.Path().string())))
+          << entry.curve << "/" << entry.point;
+    }
+  }
+}
+
 // ---- Profile JSON round-trip -------------------------------------------
 
 TEST(ProfileJsonTest, RoundTripsThroughJson) {
